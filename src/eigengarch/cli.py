@@ -29,6 +29,7 @@ from .inference import intercept_delta, sandwich_blocks, sandwich_sigma
 from .model import simulate_path
 from .panel import (
     ReturnPanel,
+    align_weights,
     bundled_weights_path,
     load_returns_csv,
     load_weights_csv,
@@ -94,11 +95,8 @@ def _load_weight_list(opts: _Options, panel: ReturnPanel):
             path = bundled_weights_path()
         else:
             return [("EW", np.full(panel.p, 1.0 / panel.p))]
-    named = load_weights_csv(path)
-    out = []
-    for name, wmap in named:
-        out.append((name, np.array([wmap[c] for c in panel.labels])))
-    return out
+    return [(name, align_weights(wmap, panel.labels))
+            for name, wmap in load_weights_csv(path)]
 
 
 def _fit(opts: _Options, panel: ReturnPanel):
@@ -203,10 +201,11 @@ def cmd_forecast(opts: _Options) -> int:
             "portfolio": name,
             "var": var_from_distribution(draws, alpha),
             "mean": float(draws.mean()),
+            # order statistics of the same convention as var: q05 == -var at 0.05
             "quantiles": {
-                "q01": float(np.quantile(draws, 0.01)),
-                "q05": float(np.quantile(draws, 0.05)),
-                "q50": float(np.quantile(draws, 0.50)),
+                "q01": -var_from_distribution(draws, 0.01),
+                "q05": -var_from_distribution(draws, 0.05),
+                "q50": -var_from_distribution(draws, 0.50),
             },
         })
     _write_json(_out_dir(opts) / "forecast.json", {

@@ -14,16 +14,14 @@ kept as a benchmark.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Optional, Sequence, Union
 
 import numpy as np
 from scipy.optimize import minimize
-from scipy.signal import lfilter
 
 from .exceptions import ConvergenceError, ValidationError
-from .model import DynamicsParams, ModelSpec
+from .model import DynamicsParams, ModelSpec, linear_recursion
 from .panel import ReturnPanel
 from .spectral import (
     SpectralTarget,
@@ -46,7 +44,6 @@ __all__ = [
     "fit_spectral_targeting",
     "fit_joint_qmle",
     "fit_rotation_first_step",
-    "rotation_cost",
     "joint_fit_invocations",
 ]
 
@@ -167,35 +164,53 @@ def _as_lam(gamma) -> np.ndarray:
     return np.atleast_1d(np.asarray(gamma, dtype=float))
 
 
-def _recursion(c: np.ndarray, b: float) -> np.ndarray:
-    return lfilter([1.0], [1.0, -b], c)
-
-
 def _lam_path(Y2: np.ndarray, lam_vec: np.ndarray, i: int, a: np.ndarray,
-              b: float, lam0: float) -> tuple[np.ndarray, float]:
+              b: float, lam0: float) -> np.ndarray:
     """Conditional eigenvalue path of equation i under targeting."""
-    T = Y2.shape[0]
     w = (1.0 - b) * lam_vec[i] - float(a @ lam_vec)
-    c = np.empty(T)
+    c = np.empty(Y2.shape[0])
     c[0] = lam0
     c[1:] = w + Y2[:-1] @ a
-    return _recursion(c, b), w
-
-
-def _recursion_cols(c: np.ndarray, b: float) -> np.ndarray:
-    """Column-wise scalar recursion s_t = c_t + b s_{t-1} on a T x k array."""
-    return lfilter([1.0], [1.0, -b], c, axis=0)
+    return linear_recursion(c, b)
 
 
 def _lam_derivs(Y2: np.ndarray, lam_vec: np.ndarray, i: int, b: float,
                 lam: np.ndarray) -> np.ndarray:
-    """d lam_t / d kappa for every t; the initial value is kappa-free."""
+    """d lam_t / d kappa for every t (T x (p+1)); the initial value is kappa-free.
+
+    Row t >= 1 is driven by [Y2_{t-1} - lam, lam_{t-1} - lam_i], the direct
+    partials of lam_t, carried forward by the b-lagged recursion.
+    """
     T, p = Y2.shape
     x = np.empty((T, p + 1))
     x[0] = 0.0
     x[1:, :p] = Y2[:-1] - lam_vec
     x[1:, p] = lam[:-1] - lam_vec[i]
-    return _recursion_cols(x, b)
+    return linear_recursion(x, b)
+
+
+def _equation_kernel(kappa: np.ndarray, lam_vec: np.ndarray, Y2: np.ndarray,
+                     i: int, lam0: float):
+    """Criterion, kappa-gradient, path and adjoint of equation i at a feasible point.
+
+    The adjoint r_t = dL/dlam_t summed over every later step solves
+    r_t = g_t + b r_{t+1} with g_t = (1 - y2_t / lam_t) / (lam_t T), so the
+    gradient is one contraction of r against the direct partials of lam_t.
+    Returns (value, grad, lam, r).
+    """
+    p = lam_vec.shape[0]
+    a, b = kappa[:p], float(kappa[p])
+    lam = _lam_path(Y2, lam_vec, i, a, b, lam0)
+    y2 = Y2[:, i]
+    ratio = y2 / lam
+    value = float(np.mean(np.log(lam) + ratio))
+    r = linear_recursion((1.0 - ratio) / (lam * Y2.shape[0]), b, reverse=True)
+    r1 = r[1:]
+    total = r1.sum()
+    grad = np.empty(p + 1)
+    grad[:p] = r1 @ Y2[:-1] - lam_vec * total
+    grad[p] = r1 @ lam[:-1] - lam_vec[i] * total
+    return value, grad, lam, r
 
 
 def _init_lam0(lam_vec: np.ndarray, Y2: np.ndarray, i: int,
@@ -235,13 +250,8 @@ def _nll_grad_core(kappa: np.ndarray, lam_vec: np.ndarray, Y2: np.ndarray,
     if w <= floor or b >= 1.0 or (a < 0).any() or b < 0:
         value, grad = _penalized(w, floor, lam_vec, i)
         return value, grad, False
-    lam0 = _init_lam0(lam_vec, Y2, i, init)
-    lam, _ = _lam_path(Y2, lam_vec, i, a, b, lam0)
-    y2 = Y2[:, i]
-    value = float(np.mean(np.log(lam) + y2 / lam))
-    dlam = _lam_derivs(Y2, lam_vec, i, b, lam)
-    weights = (1.0 - y2 / lam) / lam
-    grad = weights @ dlam / Y2.shape[0]
+    value, grad, _, _ = _equation_kernel(kappa, lam_vec, Y2, i,
+                                         _init_lam0(lam_vec, Y2, i, init))
     return value, grad, True
 
 
@@ -270,9 +280,9 @@ def equation_score(kappa, gamma, Y: np.ndarray, i: int,
                    init: Union[str, np.ndarray] = "unconditional") -> np.ndarray:
     """Analytic gradient of the equation criterion wrt kappa.
 
-    The rotated returns are constant in kappa, so only the eigenvalue-path
-    derivative contributes; that derivative follows the same b-lagged
-    recursion as the path itself.
+    The rotated returns are constant in kappa, so only the eigenvalue path
+    contributes; its adjoint follows the same b-lagged recursion as the path,
+    run backward in time.
     """
     lam_vec = _as_lam(gamma)
     kappa = _check_kappa_shape(kappa, lam_vec.shape[0])
@@ -283,22 +293,25 @@ def equation_score(kappa, gamma, Y: np.ndarray, i: int,
     return grad
 
 
+def _forward_derivs(kappa, gamma, Y: np.ndarray, i: int, init):
+    """Checked kappa, squared returns, path and forward kappa-derivatives (feasible point)."""
+    lam_vec = _as_lam(gamma)
+    kappa = _check_kappa_shape(kappa, lam_vec.shape[0])
+    p = lam_vec.shape[0]
+    Y2 = np.atleast_2d(np.asarray(Y, dtype=float)) ** 2
+    b = float(kappa[p])
+    lam = _lam_path(Y2, lam_vec, i, kappa[:p], b, _init_lam0(lam_vec, Y2, i, init))
+    return kappa, Y2, lam, _lam_derivs(Y2, lam_vec, i, b, lam)
+
+
 def equation_score_contributions(kappa, gamma, Y: np.ndarray, i: int,
                                  init: Union[str, np.ndarray] = "unconditional") -> np.ndarray:
     """Per-observation score vectors (T x (p+1)), not averaged.
 
     Assumes an interior (feasible) point.
     """
-    lam_vec = _as_lam(gamma)
-    kappa = _check_kappa_shape(kappa, lam_vec.shape[0])
-    p = lam_vec.shape[0]
-    Y2 = np.atleast_2d(np.asarray(Y, dtype=float)) ** 2
-    a, b = kappa[:p], float(kappa[p])
-    lam0 = _init_lam0(lam_vec, Y2, i, init)
-    lam, _ = _lam_path(Y2, lam_vec, i, a, b, lam0)
-    dlam = _lam_derivs(Y2, lam_vec, i, b, lam)
-    weights = (1.0 - Y2[:, i] / lam) / lam
-    return weights[:, None] * dlam
+    _, Y2, lam, dlam = _forward_derivs(kappa, gamma, Y, i, init)
+    return ((1.0 - Y2[:, i] / lam) / lam)[:, None] * dlam
 
 
 def equation_kappa_hessian(kappa, gamma, Y: np.ndarray, i: int,
@@ -306,32 +319,67 @@ def equation_kappa_hessian(kappa, gamma, Y: np.ndarray, i: int,
     """Analytic (1/T) sum_t d^2 l_t / dkappa dkappa' at the given point.
 
     Only the eigenvalue path depends on kappa; its second derivatives vanish
-    in the a-a block and follow b-lagged recursions elsewhere.
+    in the a-a block, and their b-lagged recursions for the a-b and b-b
+    terms are contracted through the adjoint of the score weights.
     """
-    lam_vec = _as_lam(gamma)
-    kappa = _check_kappa_shape(kappa, lam_vec.shape[0])
-    p = lam_vec.shape[0]
-    Y2 = np.atleast_2d(np.asarray(Y, dtype=float)) ** 2
-    a, b = kappa[:p], float(kappa[p])
-    lam0 = _init_lam0(lam_vec, Y2, i, init)
-    lam, _ = _lam_path(Y2, lam_vec, i, a, b, lam0)
-    dlam = _lam_derivs(Y2, lam_vec, i, b, lam)
-    T = Y2.shape[0]
+    kappa, Y2, lam, dlam = _forward_derivs(kappa, gamma, Y, i, init)
+    T, p = Y2.shape
     y2 = Y2[:, i]
     w1 = (1.0 - y2 / lam) / lam                # multiplies d2lam
     w2 = (2.0 * y2 / lam - 1.0) / (lam * lam)  # multiplies dlam outer products
     hess = (dlam * w2[:, None]).T @ dlam / T
-    # second derivatives of the path: zero in a-a, recursions for a-b and b-b
-    x = np.empty((T, p + 1))
-    x[0] = 0.0
-    x[1:, :p] = dlam[:-1, :p]
-    x[1:, p] = 2.0 * dlam[:-1, p]
-    d2 = _recursion_cols(x, b)
-    cross = w1 @ d2 / T   # entries j<p are a_j-b terms, entry p the b-b term
+    # d2lam_t is driven by dlam_{t-1}: once for a_j-b, twice for b-b
+    rho = linear_recursion(w1, float(kappa[p]), reverse=True)
+    cross = rho[1:] @ dlam[:-1] / T
+    cross[p] *= 2.0
     hess[:p, p] += cross[:p]
     hess[p, :p] += cross[:p]
     hess[p, p] += cross[p]
     return hess
+
+
+def equation_cross_hessian(kappa, target: SpectralTarget, X: np.ndarray,
+                           i: int) -> np.ndarray:
+    """Analytic (1/T) sum_t d^2 l_t / dkappa d(lam, vec V)' from the unconditional start.
+
+    Columns follow ``SpectralTarget.gamma()``: the eigenvalues, then V column
+    by column, each entry a free coordinate that re-rotates the panel through
+    dY2_{t,j} / dV_mj = 2 Y_{t,j} X_{t,m}. The path moves with the targets
+    through dlam_t / dlam_k = u_t dw_k + b^t delta_ik (u_t = sum_{s<t} b^s)
+    and with V through a_j-weighted lags of those squared returns, so every
+    V-derivative of the path is contracted against reverse-filtered weights
+    and no T x p^2 array is formed.
+    """
+    Y = rotate_returns(X, target.V)
+    kappa, Y2, lam, dlam = _forward_derivs(kappa, target.lam, Y, i, "unconditional")
+    T, p = Y.shape
+    a, b = kappa[:p], float(kappa[p])
+    w1 = (1.0 - Y2[:, i] / lam) / lam
+    w2 = (2.0 * Y2[:, i] / lam - 1.0) / (lam * lam)
+    # weight of lam_t in the forcing term x_{t+1} = [Y2_t - lam, lam_t - lam_i]
+    rho_next = np.append(linear_recursion(w1, b, reverse=True)[1:], 0.0)
+    # weights on dlam_t / dgamma: through the score weight w1, and through x_{t+1}
+    h = dlam * w2[:, None]
+    h[:, p] += rho_next
+    K = np.empty((p + 1, p + p * p))
+    dw = -a
+    dw[i] += 1.0 - b
+    u = linear_recursion(np.minimum(np.arange(T), 1.0), b)
+    K[:, :p] = np.outer(h.T @ u, dw)
+    K[:, i] += h.T @ b ** np.arange(T)
+    total = rho_next.sum()
+    K[np.arange(p), np.arange(p)] -= total
+    K[p, i] -= total
+    h_next = np.zeros((T, p + 1))
+    h_next[:-1] = linear_recursion(h, b, reverse=True)[1:]
+    KV = np.empty((p + 1, p, p))  # [kappa entry, m, j] for V_mj
+    for n in range(p + 1):
+        KV[n] = (X * h_next[:, n:n + 1]).T @ Y * (2.0 * a)
+    # y2_t = Y2_{t,i} in the score weight, and Y2_{t,j} in x_{t+1} for a_j
+    KV[:, :, i] -= 2.0 * (dlam * (Y[:, i] / (lam * lam))[:, None]).T @ X
+    KV[np.arange(p), :, np.arange(p)] += 2.0 * (rho_next[:, None] * Y).T @ X
+    K[:, p:] = KV.transpose(0, 2, 1).reshape(p + 1, p * p)
+    return K / T
 
 
 def _default_starts(p: int, i: int, cfg: OptimizerConfig) -> list[np.ndarray]:
@@ -474,14 +522,12 @@ def _check_panel(X: np.ndarray, labels=None):
 
 def fit_spectral_targeting(X, cfg: OptimizerConfig = DEFAULT_CONFIG,
                            diag_a: bool = False, fit_b: bool = True,
-                           init: Union[str, np.ndarray] = "unconditional",
-                           parallel: bool = False) -> ModelFit:
+                           init: Union[str, np.ndarray] = "unconditional") -> ModelFit:
     """Two-step estimator: moment targets, then independent equation fits.
 
     Step one computes the uncentered second-moment matrix and its identified
     eigendecomposition; step two fits each rotated return separately (the
-    equation criteria are orthogonal given the targets, so they may run
-    concurrently).
+    equation criteria are orthogonal given the targets).
     """
     labels = X.labels if isinstance(X, ReturnPanel) else None
     Xv = _panel_values(X)
@@ -490,14 +536,8 @@ def fit_spectral_targeting(X, cfg: OptimizerConfig = DEFAULT_CONFIG,
     Y = rotate_returns(Xv, target.V)
     p = Xv.shape[1]
 
-    def fit_one(i):
-        return fit_equation(Y, target, i, cfg, diag_a=diag_a, fit_b=fit_b, init=init)
-
-    if parallel and p > 1:
-        with ThreadPoolExecutor(max_workers=min(p, 8)) as pool:
-            results = list(pool.map(fit_one, range(p)))
-    else:
-        results = [fit_one(i) for i in range(p)]
+    results = [fit_equation(Y, target, i, cfg, diag_a=diag_a, fit_b=fit_b, init=init)
+               for i in range(p)]
 
     kappas = np.vstack([eq.kappa for eq, _ in results])
     diags = [d for _, d in results]
@@ -566,7 +606,13 @@ def _joint_layout(p: int, diag_a: bool):
 
 def _joint_nll_grad(theta: np.ndarray, X: np.ndarray, p: int, diag_a: bool,
                     w_floor_rel: float):
-    """Joint criterion with the analytic gradient wrt (lam, phi, kappa)."""
+    """Joint criterion with the analytic gradient wrt (lam, phi, kappa).
+
+    Each equation's adjoint r gives its kappa block, its lam block
+    dw * sum r[1:] + e_i r_0 (the path starts at lam_i), and its share of
+    dL/dY2, which feeds the angle block through G = X'(2 Y o dL/dY2):
+    dL/dphi_m = sum_{k,j} dV[m, k, j] G[k, j].
+    """
     n_phi, kappa_len, _ = _joint_layout(p, diag_a)
     T = X.shape[0]
     lam_vec = theta[:p]
@@ -576,8 +622,9 @@ def _joint_nll_grad(theta: np.ndarray, X: np.ndarray, p: int, diag_a: bool,
     V, dV = givens_product_derivatives(phi, p)
     Y = X @ V
     Y2 = Y**2
-    # Ydot[t, m, j] = d y_{j,t} / d phi_m
-    Ydot = np.tensordot(X, dV, axes=([1], [1])) if n_phi else np.empty((T, 0, p))
+    A = np.zeros((p, p))      # row i: the ARCH loadings of equation i
+    R = np.zeros((T - 1, p))  # column i: r[1:] of equation i
+    dY2 = np.zeros((T, p))    # dL/dY2 through each y2_{i,t} / lam_{i,t} term
 
     total = 0.0
     feasible = True
@@ -591,15 +638,15 @@ def _joint_nll_grad(theta: np.ndarray, X: np.ndarray, p: int, diag_a: bool,
             a, b = block[:p].copy(), float(block[p])
         floor = w_floor_rel * max(lam_vec[i], 1e-12)
         w = (1.0 - b) * lam_vec[i] - float(a @ lam_vec)
+        # dw/dlam_k = (1-b) delta_ik - a_k ; dw/da_j = -lam_j ; dw/db = -lam_i
+        dw = -a
+        dw[i] += 1.0 - b
         if w <= floor:
             feasible = False
             gap = floor - w
             total += PENALTY_BASE + PENALTY_SCALE * gap * gap
             pull = 2.0 * PENALTY_SCALE * gap
-            # dw/dlam_k = (1-b) delta_ik - a_k ; dw/da_j = -lam_j ; dw/db = -lam_i
-            dw_lam = -a.copy()
-            dw_lam[i] += 1.0 - b
-            grad[:p] += -pull * dw_lam
+            grad[:p] += -pull * dw
             if diag_a:
                 grad[off] += pull * lam_vec[i]
                 grad[off + 1] += pull * lam_vec[i]
@@ -607,40 +654,23 @@ def _joint_nll_grad(theta: np.ndarray, X: np.ndarray, p: int, diag_a: bool,
                 grad[off:off + p] += pull * lam_vec
                 grad[off + p] += pull * lam_vec[i]
             continue
-        lam, _ = _lam_path(Y2, lam_vec, i, a, b, float(lam_vec[i]))
-        y2 = Y2[:, i]
-        total += float(np.mean(np.log(lam) + y2 / lam))
-        weights = (1.0 - y2 / lam) / lam
-
-        # kappa block: same machinery as the per-equation fit
-        dlam_k = _lam_derivs(Y2, lam_vec, i, b, lam)
-        g_kappa = weights @ dlam_k / T
+        value, g_kappa, lam, r = _equation_kernel(np.r_[a, b], lam_vec, Y2, i,
+                                                  float(lam_vec[i]))
+        total += value
         if diag_a:
             grad[off] += g_kappa[i]
             grad[off + 1] += g_kappa[p]
         else:
-            grad[off:off + p] += g_kappa[:p]
-            grad[off + p] += g_kappa[p]
-
-        # lam block: dw/dlam_k drives every step, the init contributes delta_ik
-        x = np.empty((T, p))
-        dw = -a.copy()
-        dw[i] += 1.0 - b
-        x[0] = 0.0
-        x[0, i] = 1.0
-        x[1:] = dw
-        dlam_lam = _recursion_cols(x, b)
-        grad[:p] += weights @ dlam_lam / T
-
-        # phi block: the path moves through the squared rotated returns and
-        # the y_{i,t}^2 numerator moves directly
-        if n_phi:
-            x = np.empty((T, n_phi))
-            x[0] = 0.0
-            x[1:] = 2.0 * np.einsum("tj,tmj->tm", Y[:-1] * a, Ydot[:-1])
-            dlam_phi = _recursion_cols(x, b)
-            direct = 2.0 * (Y[:, i] / lam) @ Ydot[:, :, i]
-            grad[p:p + n_phi] += (weights @ dlam_phi + direct) / T
+            grad[off:off + p + 1] += g_kappa
+        grad[:p] += dw * r[1:].sum()
+        grad[i] += r[0]
+        A[i] = a
+        R[:, i] = r[1:]
+        dY2[:, i] = 1.0 / (lam * T)
+    if n_phi:
+        dY2[:-1] += R @ A
+        G = X.T @ (2.0 * Y * dY2)
+        grad[p:p + n_phi] = np.tensordot(dV, G, axes=([1, 2], [0, 1]))
     return total, grad, feasible
 
 
@@ -778,18 +808,6 @@ def fit_joint_qmle(X, cfg: OptimizerConfig = DEFAULT_CONFIG,
         diagnostics=[diag],
         converged=bool(best.success),
     )
-
-
-def rotation_cost(phi: np.ndarray, lam_vec: np.ndarray, H: np.ndarray) -> float:
-    """Static Gaussian cost of a candidate (phi, lam) pair.
-
-    Equals the sample average of log det(Lam) + X'V Lam^{-1} V'X expressed
-    through the second-moment matrix.
-    """
-    p = H.shape[0]
-    V = givens_product(phi, p)
-    m = np.diag(V.T @ H @ V)
-    return float(np.sum(np.log(lam_vec) + m / lam_vec))
 
 
 def fit_rotation_first_step(X, cfg: OptimizerConfig = DEFAULT_CONFIG,

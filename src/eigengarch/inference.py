@@ -6,8 +6,10 @@ e = p^2 + 2p + 1 has sandwich covariance
     Sigma = M Omega M',    M = [[I, 0], [-J^{-1} K, -J^{-1}]],
 
 where J and K are plug-in averages of second derivatives of the equation
-criterion and Omega is the outer-product average of the stacked moment and
-score contributions. The first-step contributions use the eigenvalue and
+criterion, both analytic (K differentiates the kappa-score in the static
+coordinates through the same reverse recursion as the fit's gradient), and
+Omega is the outer-product average of the stacked moment and score
+contributions. The first-step contributions use the eigenvalue and
 eigenvector perturbation identities, with the shifted pseudo-inverse
 carrying the eigenvector sensitivity.
 """
@@ -20,12 +22,13 @@ import numpy as np
 
 from .estimation import (
     ModelFit,
+    _panel_values,
+    equation_cross_hessian,
     equation_kappa_hessian,
     equation_score_contributions,
     rotate_returns,
 )
 from .exceptions import InferenceError, ValidationError
-from .panel import ReturnPanel
 from .spectral import sample_covariance, shifted_pseudo_inverse
 
 __all__ = [
@@ -37,7 +40,6 @@ __all__ = [
 ]
 
 J_CONDITION_LIMIT = 1e12
-GAMMA_FD_STEP = 1e-5
 
 
 @dataclass(frozen=True)
@@ -73,33 +75,14 @@ class EquationInference:
         return self.se[self.p**2 + self.p:]
 
 
-def _panel_values(X) -> np.ndarray:
-    if isinstance(X, ReturnPanel):
-        return X.values
-    return np.atleast_2d(np.asarray(X, dtype=float))
-
-
-def _kappa_score_at_gamma(gamma_vec: np.ndarray, kappa: np.ndarray,
-                          X: np.ndarray, i: int, p: int) -> np.ndarray:
-    """Mean kappa-score with (lam, vec(V)) treated as free coordinates.
-
-    Perturbed eigenvector entries re-rotate the panel, which is exactly the
-    dependence the cross-derivative block has to pick up.
-    """
-    lam = gamma_vec[:p]
-    V = gamma_vec[p:].reshape((p, p), order="F")
-    Y = rotate_returns(X, V)
-    contrib = equation_score_contributions(kappa, lam, Y, i)
-    return contrib.mean(axis=0)
-
-
 def sandwich_blocks(fit: ModelFit, X, i: int) -> SandwichBlocks:
     """Plug-in J, K and Omega for equation i of a two-step fit.
 
-    J is analytic; K differentiates the analytic kappa-score by central
-    finite differences in the static coordinates; Omega stacks the
-    eigenvalue moment deviations, the pseudo-inverse-weighted eigenvector
-    deviations and the per-observation kappa-score.
+    J and K are analytic: K is the derivative of the mean kappa-score in
+    the static coordinates (lam, vec V), with V's entries as free
+    coordinates that re-rotate the panel. Omega stacks the eigenvalue moment
+    deviations, the pseudo-inverse-weighted eigenvector deviations and the
+    per-observation kappa-score.
 
     Refuses boundary fits and near-repeated first-step eigenvalues, where
     the asymptotic approximation breaks down.
@@ -123,18 +106,7 @@ def sandwich_blocks(fit: ModelFit, X, i: int) -> SandwichBlocks:
     Y = rotate_returns(Xv, V_hat)
 
     J = equation_kappa_hessian(kappa, lam_hat, Y, i)
-
-    gamma_vec = fit.target.gamma()
-    n_gamma = p + p * p
-    K = np.empty((p + 1, n_gamma))
-    for k in range(n_gamma):
-        h = GAMMA_FD_STEP * max(abs(gamma_vec[k]), 0.1)
-        up, dn = gamma_vec.copy(), gamma_vec.copy()
-        up[k] += h
-        dn[k] -= h
-        s_up = _kappa_score_at_gamma(up, kappa, Xv, i, p)
-        s_dn = _kappa_score_at_gamma(dn, kappa, Xv, i, p)
-        K[:, k] = (s_up - s_dn) / (2.0 * h)
+    K = equation_cross_hessian(kappa, fit.target, Xv, i)
 
     H = sample_covariance(Xv).values
     # eigenvalue-deviation block: diag of V'(X_t X_t' - H)V per observation

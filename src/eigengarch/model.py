@@ -177,14 +177,16 @@ def intercepts_from_targets(gamma: SpectralTarget, dyn: DynamicsParams) -> np.nd
     return W
 
 
-def garch_recursion(c: np.ndarray, b: float, init: float) -> np.ndarray:
-    """Scalar linear recursion s_0 = init, s_t = c_t + b s_{t-1} for t >= 1.
+def linear_recursion(c: np.ndarray, b: float, reverse: bool = False) -> np.ndarray:
+    """First-order linear recursion along the first axis of ``c``.
 
-    c[0] is ignored (replaced by the initial value).
+    Forward: s_0 = c_0 and s_t = c_t + b s_{t-1}, the eigenvalue path and its
+    forward derivatives. Reverse: r_{T-1} = c_{T-1} and r_t = c_t + b r_{t+1},
+    the adjoint that carries a criterion's sensitivities back in time.
     """
-    x = np.asarray(c, dtype=float).copy()
-    x[0] = init
-    return lfilter([1.0], [1.0, -b], x)
+    if reverse:
+        return lfilter([1.0], [1.0, -b], c[::-1], axis=0)[::-1]
+    return lfilter([1.0], [1.0, -b], c, axis=0)
 
 
 def _resolve_init(
@@ -224,8 +226,9 @@ def filter_eigenvalues(
     lam_t = np.empty((T, p))
     for i in range(p):
         c = np.empty(T)
+        c[0] = lam0[i]
         c[1:] = spec.W[i] + drive[:, i]
-        lam_t[:, i] = garch_recursion(c, spec.dynamics.b[i], lam0[i])
+        lam_t[:, i] = linear_recursion(c, spec.dynamics.b[i])
     if not np.all(np.isfinite(lam_t)):
         t_bad = int(np.flatnonzero(~np.all(np.isfinite(lam_t), axis=1))[0])
         raise ValidationError(f"eigenvalue recursion became non-finite at t={t_bad}")

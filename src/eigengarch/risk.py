@@ -16,7 +16,7 @@ import numpy as np
 from scipy.stats import chi2
 
 from .estimation import ModelFit, OptimizerConfig, DEFAULT_CONFIG, \
-    fit_joint_qmle, fit_spectral_targeting, rotate_returns
+    _panel_values, fit_joint_qmle, fit_spectral_targeting, rotate_returns
 from .exceptions import ValidationError
 from .model import filter_eigenvalues
 from .panel import ReturnPanel, align_weights
@@ -92,7 +92,7 @@ class VaRBacktestReport:
     alpha: float
     window: int
     n_forecasts: int
-    refit_seconds: list = field(default_factory=list)
+    refit_seconds: list = field(default_factory=list)  # process CPU s per refit
 
     @property
     def mean_refit_seconds(self) -> float:
@@ -111,7 +111,7 @@ class VaRBacktestReport:
 
 def standardized_residuals(fit: ModelFit, X, init="unconditional") -> ResidualPanel:
     """Invert the fitted volatility filter: Z_t = diag(lam_t)^(-1/2) V'X_t."""
-    Xv = X.values if isinstance(X, ReturnPanel) else np.atleast_2d(np.asarray(X, float))
+    Xv = _panel_values(X)
     Y = rotate_returns(Xv, fit.target.V)
     path = filter_eigenvalues(fit.spec(), Y, init=init)
     Z = Y / np.sqrt(path.lam_t)
@@ -138,7 +138,7 @@ def fhs_cumulative_returns(
         raise ValidationError("horizon must be at least 1")
     if n_draws < 1000:
         raise ValidationError("need n_draws >= 1000 for a stable quantile")
-    Xv = X.values if isinstance(X, ReturnPanel) else np.atleast_2d(np.asarray(X, float))
+    Xv = _panel_values(X)
     V = fit.target.V
     A, b, W = fit.dynamics.A, fit.dynamics.b, fit.W
     Y = rotate_returns(Xv, V)
@@ -308,7 +308,8 @@ def rolling_backtest(
     ``refit_every`` observations, default every ``horizon``) filters the
     window data, a filtered-simulation forecast produces the h-period VaR,
     and the realized h-period return on the following non-overlapping block
-    scores the hit. Wall-clock per refit is recorded as process CPU time.
+    scores the hit. ``refit_seconds`` records each refit's process CPU time
+    (summed over threads), not its wall-clock time.
     """
     panel = X if isinstance(X, ReturnPanel) else ReturnPanel(
         np.atleast_2d(np.asarray(X, float)),

@@ -78,6 +78,8 @@ class TestForecast:
         assert fc["horizon"] == 5
         assert fc["portfolios"][0]["portfolio"] == "EW"
         assert fc["portfolios"][0]["var"] > 0
+        # one quantile convention in the report: the 5% quantile is -VaR(0.05)
+        assert fc["portfolios"][0]["quantiles"]["q05"] == -fc["portfolios"][0]["var"]
 
     def test_reproducible(self, sim_dir, tmp_path):
         a, b = tmp_path / "a", tmp_path / "b"
@@ -108,6 +110,23 @@ class TestBacktest:
     def test_window_too_large(self, sim_dir, tmp_path):
         assert run(["backtest", "--input", sim_dir / "panel.csv",
                     "--window", "600", "--out", tmp_path]) == 2
+
+    def test_weights_missing_an_asset(self, tmp_path, capsys):
+        assert run(["simulate", "--dgp", "benchmark", "--p", "3", "--T", "300",
+                    "--out", tmp_path]) == 0
+        weights = tmp_path / "weights.csv"
+        weights.write_text("ticker,EW\nA1,0.5\nA2,0.5\n")
+        assert run(["backtest", "--input", tmp_path / "panel.csv", "--weights",
+                    weights, "--window", "200", "--out", tmp_path]) == 2
+        assert "['A3']" in capsys.readouterr().err
+
+    def test_bundled_weights_against_other_labels(self, tmp_path, capsys):
+        # a 25-column panel picks up the bundled 25-ticker weights by default
+        assert run(["simulate", "--dgp", "benchmark", "--p", "25", "--T", "100",
+                    "--out", tmp_path]) == 0
+        assert run(["backtest", "--input", tmp_path / "panel.csv", "--diag-a",
+                    "--window", "50", "--out", tmp_path]) == 2
+        assert "'A1'" in capsys.readouterr().err
 
 
 class TestBenchRe:

@@ -19,7 +19,14 @@ from eigengarch import (
     sample_covariance,
     simulate_path,
 )
-from eigengarch.estimation import _joint_nll_grad, _match_angles
+from eigengarch.estimation import (
+    _joint_layout,
+    _joint_nll_grad,
+    _lam_derivs,
+    _lam_path,
+    _match_angles,
+    _nll_grad_core,
+)
 from eigengarch.experiments import density_case_spec, diagonal_benchmark_spec
 
 
@@ -159,6 +166,56 @@ class TestEquationScore:
         assert mags[100_000] < mags[1000]
 
 
+class TestAdjointGradients:
+    @pytest.mark.parametrize("diag_a", [True, False])
+    def test_ste_matches_forward_derivative_paths(self, diag_a):
+        # reference: p+1 derivative paths pushed forward, contracted with the
+        # per-observation score weights
+        p, T = 25, 2500
+        X = simulate_path(diagonal_benchmark_spec(p), T=T, burn_in=1000, rng_seed=3)
+        lam_vec = sample_covariance(X).values.diagonal().copy()
+        Y2 = X**2
+        rng = np.random.default_rng(4)
+        for i in (0, 12, 24):
+            kappa = np.zeros(p + 1)
+            if not diag_a:
+                kappa[:p] = rng.uniform(0.0, 0.002, p)
+            kappa[i], kappa[p] = 0.06, 0.85
+            value, grad, feasible = _nll_grad_core(kappa, lam_vec, Y2, i, "unconditional")
+            assert feasible
+            lam = _lam_path(Y2, lam_vec, i, kappa[:p], kappa[p], lam_vec[i])
+            weights = (1.0 - Y2[:, i] / lam) / lam
+            ref = weights @ _lam_derivs(Y2, lam_vec, i, kappa[p], lam) / T
+            assert value == np.mean(np.log(lam) + Y2[:, i] / lam)
+            assert np.abs(grad - ref).max() <= 1e-12 * np.abs(ref).max()
+
+    @pytest.mark.parametrize("diag_a", [True, False])
+    def test_joint_matches_central_differences(self, diag_a):
+        p = 3
+        X = simulate_path(diagonal_benchmark_spec(p), T=1000, burn_in=500, rng_seed=8)
+        n_phi, kappa_len, n_theta = _joint_layout(p, diag_a)
+        theta = np.empty(n_theta)
+        theta[:p] = [0.12, 0.2, 0.35]
+        theta[p:p + n_phi] = [0.4, 0.6, 0.9]
+        for i in range(p):
+            block = [0.07, 0.8] if diag_a else [0.02, 0.03, 0.01, 0.8]
+            if not diag_a:
+                block[i] = 0.07
+            off = p + n_phi + i * kappa_len
+            theta[off:off + kappa_len] = block
+        value, grad, feasible = _joint_nll_grad(theta, X, p, diag_a, 1e-10)
+        assert feasible
+        fd = np.empty(n_theta)
+        for k in range(n_theta):
+            h = 1e-6 * max(abs(theta[k]), 0.1)
+            up, dn = theta.copy(), theta.copy()
+            up[k] += h
+            dn[k] -= h
+            fd[k] = (_joint_nll_grad(up, X, p, diag_a, 1e-10)[0]
+                     - _joint_nll_grad(dn, X, p, diag_a, 1e-10)[0]) / (2 * h)
+        np.testing.assert_allclose(grad, fd, rtol=1e-6, atol=1e-8 * np.abs(fd).max())
+
+
 class TestFitEquation:
     def test_recovers_benchmark_dynamics(self):
         # dgp: own-arch 0.05, persistence 0.85; MC sds measured at T=2e4
@@ -235,13 +292,6 @@ class TestFitSpectralTargeting:
         fit = fit_spectral_targeting(X)
         fit_perm = fit_spectral_targeting(X[:, ::-1])
         assert fit.total_nll == pytest.approx(fit_perm.total_nll, abs=1e-8)
-
-    def test_sequential_equals_concurrent(self):
-        X = case1_panel(T=3000, seed=4)
-        fit_seq = fit_spectral_targeting(X, parallel=False)
-        fit_par = fit_spectral_targeting(X, parallel=True)
-        assert np.array_equal(fit_seq.kappas, fit_par.kappas)
-        assert np.array_equal(fit_seq.W, fit_par.W)
 
     def test_refuses_constant_column(self):
         X = case1_panel(T=500, seed=1)

@@ -17,6 +17,7 @@ from eigengarch.estimation import (
     ModelFit,
     equation_kappa_hessian,
     equation_nll,
+    equation_score_contributions,
     rotate_returns,
 )
 from eigengarch.experiments import density_case_spec
@@ -124,6 +125,34 @@ class TestSandwichBlocks:
                     nll_at(gp, kp) - nll_at(gm, kp) - nll_at(gp, km) + nll_at(gm, km)
                 ) / (4 * hk * hg)
         np.testing.assert_allclose(blocks.K, fd, rtol=2e-3, atol=1e-4)
+
+    @pytest.mark.parametrize("p, diag_a", [(3, False), (5, True)])
+    def test_cross_block_matches_score_differences(self, p, diag_a):
+        # oracle: central differences of the mean kappa-score in each static
+        # coordinate, with the perturbed eigenvectors re-rotating the panel
+        X = simulate_path(interior_spec(p), T=3000, burn_in=1000, rng_seed=p)
+        fit = fit_spectral_targeting(X, diag_a=diag_a)
+        gamma = fit.target.gamma()
+        checked = 0
+        for i in range(p):
+            if fit.diagnostics[i].active_constraints:
+                continue
+            kappa = fit.kappas[i]
+            fd = np.empty((p + 1, p + p * p))
+            for k in range(gamma.size):
+                h = 1e-5 * max(abs(gamma[k]), 0.1)
+                score = []
+                for g in (gamma[k] + h, gamma[k] - h):
+                    moved = gamma.copy()
+                    moved[k] = g
+                    Y = rotate_returns(X, moved[p:].reshape((p, p), order="F"))
+                    score.append(equation_score_contributions(
+                        kappa, moved[:p], Y, i).mean(axis=0))
+                fd[:, k] = (score[0] - score[1]) / (2.0 * h)
+            K = sandwich_blocks(fit, X, i).K
+            assert np.abs(K - fd).max() <= 1e-7 * np.abs(fd).max()
+            checked += 1
+        assert checked >= 2
 
     def test_omega_psd_and_first_block(self):
         fit, X = interior_fit(T=2500, seed=7)

@@ -16,6 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
+from ._blas import pinned_thread_counts
 from .exceptions import ConvergenceError, InferenceError, ValidationError
 from .estimation import fit_joint_qmle, fit_spectral_targeting
 from .experiments import (
@@ -152,6 +153,7 @@ def _fit_payload(fit) -> dict:
         "active_constraints": [
             d.active_constraints for d in fit.diagnostics
         ],
+        "blas_threads": pinned_thread_counts(),
     }
 
 
@@ -232,7 +234,8 @@ def cmd_backtest(opts: _Options) -> int:
         rng_seed=int(opts.get("seed", 0)),
     )
     out = _out_dir(opts)
-    _write_json(out / "backtest.json", report.to_dict())
+    _write_json(out / "backtest.json",
+                {**report.to_dict(), "blas_threads": pinned_thread_counts()})
     path = out / "var_paths.csv"
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
@@ -280,7 +283,7 @@ def cmd_bench_re(opts: _Options) -> int:
     _write_json(out / "relative_efficiency.json",
                 {"rows": [r.to_dict() for r in rows],
                  "n_replications": cfg.n_replications, "T": cfg.T,
-                 "seed": cfg.seed})
+                 "seed": cfg.seed, "blas_threads": pinned_thread_counts()})
     print(f"wrote {path}")
     return 0
 
@@ -298,7 +301,8 @@ def cmd_density_study(opts: _Options) -> int:
         n_workers=int(opts.get("workers", 1)),
     )
     out = _out_dir(opts)
-    _write_json(out / f"density_case{case}.json", res.summary())
+    _write_json(out / f"density_case{case}.json",
+                {**res.summary(), "blas_threads": pinned_thread_counts()})
     path = out / f"density_case{case}_samples.csv"
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)

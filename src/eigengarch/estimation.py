@@ -20,6 +20,7 @@ from typing import Optional, Sequence, Union
 import numpy as np
 from scipy.optimize import minimize
 
+from ._blas import single_threaded
 from .exceptions import ConvergenceError, ValidationError
 from .model import DynamicsParams, ModelSpec, linear_recursion
 from .panel import ReturnPanel
@@ -408,6 +409,7 @@ def _repair_start(kappa: np.ndarray, lam_vec: np.ndarray, i: int,
     return kappa
 
 
+@single_threaded
 def fit_equation(Y: np.ndarray, gamma_hat, i: int,
                  cfg: OptimizerConfig = DEFAULT_CONFIG,
                  diag_a: bool = False, fit_b: bool = True,
@@ -520,6 +522,7 @@ def _check_panel(X: np.ndarray, labels=None):
         raise ValidationError(f"constant column(s): {names}")
 
 
+@single_threaded
 def fit_spectral_targeting(X, cfg: OptimizerConfig = DEFAULT_CONFIG,
                            diag_a: bool = False, fit_b: bool = True,
                            init: Union[str, np.ndarray] = "unconditional") -> ModelFit:
@@ -674,6 +677,7 @@ def _joint_nll_grad(theta: np.ndarray, X: np.ndarray, p: int, diag_a: bool,
     return total, grad, feasible
 
 
+@single_threaded
 def fit_joint_qmle(X, cfg: OptimizerConfig = DEFAULT_CONFIG,
                    diag_a: bool = False) -> ModelFit:
     """Joint QMLE over eigenvalues, rotation angles and all dynamics.
@@ -810,6 +814,7 @@ def fit_joint_qmle(X, cfg: OptimizerConfig = DEFAULT_CONFIG,
     )
 
 
+@single_threaded
 def fit_rotation_first_step(X, cfg: OptimizerConfig = DEFAULT_CONFIG,
                             phi_lower: float = 1e-6) -> SpectralTarget:
     """Rotation-parameterized maximum-likelihood alternative to the targets.

@@ -19,6 +19,7 @@ from typing import Optional, Sequence
 import numpy as np
 from scipy.stats import kstest
 
+from ._blas import single_threaded
 from .estimation import (
     DEFAULT_CONFIG,
     ModelFit,
@@ -162,6 +163,7 @@ def relative_efficiency_statistic(
     return float(d_ste @ info @ d_ste) / denom
 
 
+@single_threaded
 def run_relative_efficiency(
     cfg: ExperimentConfig,
     opt_cfg: OptimizerConfig = DEFAULT_CONFIG,
@@ -283,11 +285,13 @@ def _density_one_rep(case: int, T: int, seed) -> tuple[float, float]:
     return float(fit.W[lead]), float(fit.kappas[lead, lead])
 
 
+@single_threaded
 def _density_worker(args):
     case, T, child_seed = args
     return _density_one_rep(case, T, child_seed)
 
 
+@single_threaded
 def run_density_study(
     case: int,
     N: int = 500,

@@ -20,6 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._blas import single_threaded
 from .estimation import (
     ModelFit,
     _panel_values,
@@ -75,6 +76,7 @@ class EquationInference:
         return self.se[self.p**2 + self.p:]
 
 
+@single_threaded
 def sandwich_blocks(fit: ModelFit, X, i: int) -> SandwichBlocks:
     """Plug-in J, K and Omega for equation i of a two-step fit.
 
@@ -109,23 +111,24 @@ def sandwich_blocks(fit: ModelFit, X, i: int) -> SandwichBlocks:
     K = equation_cross_hessian(kappa, fit.target, Xv, i)
 
     H = sample_covariance(Xv).values
+    n_gamma = p + p * p
+    omega = np.empty((T, n_gamma + p + 1))  # T x e, filled block by block
     # eigenvalue-deviation block: diag of V'(X_t X_t' - H)V per observation
     rotated_diag = np.einsum("ji,jk,ki->i", V_hat, H, V_hat)
-    block_lam = Y**2 - rotated_diag  # T x p
+    omega[:, :p] = Y**2 - rotated_diag
     # eigenvector-deviation blocks: (lam_i I - H)^+ (X_t X_t' - H) V_j
-    blocks_ups = np.empty((T, p * p))
     for j in range(p):
         P = shifted_pseudo_inverse(H, lam_hat[j])
         XP = Xv @ P  # rows P x_t (P symmetric)
         drift = P @ H @ V_hat[:, j]
-        blocks_ups[:, j * p:(j + 1) * p] = Y[:, j:j + 1] * XP - drift
-    score_t = equation_score_contributions(kappa, lam_hat, Y, i)
-    omega = np.hstack([block_lam, blocks_ups, score_t])  # T x e
+        omega[:, p + j * p:p + (j + 1) * p] = Y[:, j:j + 1] * XP - drift
+    omega[:, n_gamma:] = equation_score_contributions(kappa, lam_hat, Y, i)
     Omega = omega.T @ omega / T
     Omega = 0.5 * (Omega + Omega.T)
     return SandwichBlocks(J=J, K=K, Omega=Omega, T=T, p=p)
 
 
+@single_threaded
 def sandwich_sigma(blocks: SandwichBlocks) -> EquationInference:
     """Assemble Sigma = M Omega M' and the 1/sqrt(T) standard errors."""
     p, e = blocks.p, blocks.e
@@ -147,6 +150,7 @@ def sandwich_sigma(blocks: SandwichBlocks) -> EquationInference:
     return EquationInference(Sigma=Sigma, se=se, T=blocks.T, p=p)
 
 
+@single_threaded
 def intercept_delta(fit: ModelFit, inference: EquationInference, i: int) -> float:
     """Delta-method standard error of the implied intercept w_i.
 

@@ -17,6 +17,7 @@ from typing import Optional, Union
 import numpy as np
 from scipy.signal import lfilter
 
+from ._blas import single_threaded
 from .exceptions import NonstationaryError, TargetingError, ValidationError
 from .spectral import SpectralTarget, spectral_radius
 
@@ -206,6 +207,7 @@ def _resolve_init(
     return "fixed", vec
 
 
+@single_threaded
 def filter_eigenvalues(
     spec: ModelSpec,
     Y: np.ndarray,
@@ -235,6 +237,7 @@ def filter_eigenvalues(
     return EigenvaluePath(lam_t=lam_t, init_scheme=scheme, init_value=lam0)
 
 
+@single_threaded
 def simulate_path(
     spec: ModelSpec,
     T: int,

@@ -15,9 +15,10 @@ from typing import Optional, Sequence, Union
 import numpy as np
 from scipy.stats import chi2
 
+from ._blas import single_threaded
 from .estimation import ModelFit, OptimizerConfig, DEFAULT_CONFIG, \
     _panel_values, fit_joint_qmle, fit_spectral_targeting, rotate_returns
-from .exceptions import ValidationError
+from .exceptions import ConvergenceError, ValidationError
 from .model import filter_eigenvalues
 from .panel import ReturnPanel, align_weights
 
@@ -109,6 +110,7 @@ class VaRBacktestReport:
         }
 
 
+@single_threaded
 def standardized_residuals(fit: ModelFit, X, init="unconditional") -> ResidualPanel:
     """Invert the fitted volatility filter: Z_t = diag(lam_t)^(-1/2) V'X_t."""
     Xv = _panel_values(X)
@@ -118,6 +120,7 @@ def standardized_residuals(fit: ModelFit, X, init="unconditional") -> ResidualPa
     return ResidualPanel(Z=Z, column_variances=Z.var(axis=0))
 
 
+@single_threaded
 def fhs_cumulative_returns(
     fit: ModelFit,
     X,
@@ -161,6 +164,7 @@ def fhs_cumulative_returns(
     return total @ V.T
 
 
+@single_threaded
 def fhs_forecast(
     fit: ModelFit,
     X,
@@ -247,15 +251,12 @@ def christoffersen_tests(hits: np.ndarray, alpha: float) -> dict:
     pi_hat = n1 / tau
 
     out = {"pi_hat": pi_hat, "n_obs": tau, "n_hits": n1}
-    lr_uc = None
     if 0 < n1 < tau:
         lr_uc = -2.0 * (
             _bernoulli_loglik(n1, n0, alpha) - _bernoulli_loglik(n1, n0, pi_hat)
         )
-    elif n1 == 0:
-        # likelihood at pi_hat=0 degenerates to 1; the statistic stays defined
-        lr_uc = -2.0 * _bernoulli_loglik(n1, n0, alpha)
     else:
+        # likelihood at pi_hat=0 or 1 degenerates to 1; the statistic stays defined
         lr_uc = -2.0 * _bernoulli_loglik(n1, n0, alpha)
     out["lr_uc"] = float(lr_uc)
     out["p_uc"] = float(chi2.sf(lr_uc, 1))
@@ -289,6 +290,7 @@ def christoffersen_tests(hits: np.ndarray, alpha: float) -> dict:
     return out
 
 
+@single_threaded
 def rolling_backtest(
     X,
     weights_list: Sequence,
@@ -309,7 +311,9 @@ def rolling_backtest(
     window data, a filtered-simulation forecast produces the h-period VaR,
     and the realized h-period return on the following non-overlapping block
     scores the hit. ``refit_seconds`` records each refit's process CPU time
-    (summed over threads), not its wall-clock time.
+    (summed over threads), not its wall-clock time. A refit that does not
+    converge raises ConvergenceError naming its origin, the first row after
+    its window.
     """
     panel = X if isinstance(X, ReturnPanel) else ReturnPanel(
         np.atleast_2d(np.asarray(X, float)),
@@ -360,6 +364,12 @@ def rolling_backtest(
                 fit = fit_spectral_targeting(win, cfg, diag_a=diag_a)
             else:
                 fit = fit_joint_qmle(win, cfg, diag_a=diag_a)
+            if not fit.converged:
+                raise ConvergenceError(
+                    f"{fit.method} refit at origin {origin} (window rows "
+                    f"{origin - window} to {origin - 1}) did not converge",
+                    traces=[t for d in fit.diagnostics for t in d.start_traces],
+                )
             refit_seconds.append(time.process_time() - t0)
             since_refit = 0
         since_refit += horizon

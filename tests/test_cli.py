@@ -6,7 +6,7 @@ import json
 import numpy as np
 import pytest
 
-from eigengarch import ConvergenceError, load_returns_csv
+from eigengarch import ConvergenceError, OptimizerConfig, _blas, load_returns_csv
 from eigengarch.cli import main
 
 
@@ -51,6 +51,7 @@ class TestEstimate:
         assert len(fit["standard_errors"]) == 2
         for entry in fit["standard_errors"]:
             assert ("w_se" in entry) or ("unavailable" in entry)
+        assert fit["blas_threads"] == {name: 1 for name in _blas.thread_counts()}
 
     def test_qmle_method(self, sim_dir, tmp_path):
         assert run(["estimate", "--input", sim_dir / "panel.csv",
@@ -106,6 +107,16 @@ class TestBacktest:
         var_path = np.array([float(r[2]) for r in rows[1:]])
         hits = np.array([int(r[3]) for r in rows[1:]])
         np.testing.assert_array_equal(hits, (realized <= -var_path).astype(int))
+
+    def test_nonconverged_qmle_refit_is_3(self, sim_dir, tmp_path, monkeypatch, capsys):
+        from eigengarch import risk
+
+        real_fit = risk.fit_joint_qmle
+        monkeypatch.setattr(risk, "fit_joint_qmle", lambda X, cfg, diag_a: real_fit(
+            X, OptimizerConfig(max_iterations=1), diag_a=diag_a))
+        assert run(["backtest", "--input", sim_dir / "panel.csv", "--method", "qmle",
+                    "--window", "400", "--out", tmp_path]) == 3
+        assert "origin 400" in capsys.readouterr().err
 
     def test_window_too_large(self, sim_dir, tmp_path):
         assert run(["backtest", "--input", sim_dir / "panel.csv",

@@ -175,6 +175,25 @@ class TestSandwichBlocks:
         brute = parts.T @ parts / T
         np.testing.assert_allclose(blocks.Omega[:6, :6], brute, rtol=1e-10, atol=1e-12)
 
+    def test_omega_equals_the_stacked_form(self):
+        fit, X = interior_fit(p=3, T=1500, seed=5)
+        i = 1
+        H = sample_covariance(X).values
+        V, lam = fit.target.V, fit.target.lam
+        T, p = X.shape
+        Y = rotate_returns(X, V)
+        from eigengarch.spectral import shifted_pseudo_inverse
+        block_lam = Y**2 - np.einsum("ji,jk,ki->i", V, H, V)
+        blocks_ups = np.empty((T, p * p))
+        for j in range(p):
+            P = shifted_pseudo_inverse(H, lam[j])
+            blocks_ups[:, j * p:(j + 1) * p] = Y[:, j:j + 1] * (X @ P) - P @ H @ V[:, j]
+        score_t = equation_score_contributions(fit.kappas[i], lam, Y, i)
+        omega = np.hstack([block_lam, blocks_ups, score_t])
+        Omega = omega.T @ omega / T
+        Omega = 0.5 * (Omega + Omega.T)
+        assert np.array_equal(sandwich_blocks(fit, X, i).Omega, Omega)
+
     def test_moment_components_mean_zero(self):
         fit, X = interior_fit(T=2000, seed=9)
         H = sample_covariance(X).values

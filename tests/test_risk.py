@@ -5,6 +5,7 @@ import pytest
 from scipy.stats import chi2, kurtosis
 
 from eigengarch import (
+    ConvergenceError,
     DynamicsParams,
     ModelSpec,
     ReturnPanel,
@@ -18,7 +19,7 @@ from eigengarch import (
     standardized_residuals,
     var_from_distribution,
 )
-from eigengarch.estimation import ModelFit
+from eigengarch.estimation import ModelFit, OptimizerConfig
 from eigengarch.experiments import density_case_spec, diagonal_benchmark_spec
 from eigengarch.panel import bundled_weights_path, load_weights_csv
 from eigengarch.spectral import SpectralTarget
@@ -239,6 +240,11 @@ class TestChristoffersen:
         assert out["lr_ind"] is None and out["lr_cc"] is None
         assert out["lr_uc"] == pytest.approx(-2 * 50 * np.log(0.95), rel=1e-12)
 
+    def test_all_one_hits(self):
+        out = christoffersen_tests(np.ones(50, int), 0.05)
+        assert out["lr_ind"] is None and out["lr_cc"] is None
+        assert out["lr_uc"] == pytest.approx(-2 * 50 * np.log(0.05), rel=1e-12)
+
     def test_cc_is_sum(self):
         rng = np.random.default_rng(9)
         hits = (rng.random(500) < 0.07).astype(int)
@@ -267,6 +273,12 @@ class TestRollingBacktest:
         X = simulate_path(density_case_spec(1), T=310, burn_in=100, rng_seed=1)
         with pytest.raises(ValidationError, match="20"):
             rolling_backtest(X, [np.ones(2)], window=300)
+
+    def test_nonconverged_qmle_refit_raises(self):
+        X = simulate_path(density_case_spec(1), T=330, burn_in=100, rng_seed=1)
+        with pytest.raises(ConvergenceError, match="origin 300"):
+            rolling_backtest(X, [np.ones(2)], window=300, method="qmle",
+                             cfg=OptimizerConfig(max_iterations=1), n_draws=1000)
 
     def test_bundled_portfolio_fixture_end_to_end(self):
         # 25-asset simulated panel scored against the packaged five portfolios

@@ -36,7 +36,7 @@ from .panel import (
     load_weights_csv,
     write_panel_csv,
 )
-from .risk import fhs_forecast, rolling_backtest, var_from_distribution
+from .risk import fhs_cumulative_returns, rolling_backtest, var_from_distribution
 
 DESK_SCALE_REPS = 100
 FULL_SCALE_RE_REPS = 399
@@ -46,8 +46,11 @@ FULL_SCALE_DENSITY_REPS = 10_000
 def _load_config(path):
     if path is None:
         return {}
-    with open(path) as fh:
-        cfg = json.load(fh)
+    try:
+        with open(path) as fh:
+            cfg = json.load(fh)
+    except (OSError, ValueError) as exc:  # missing, unreadable or malformed JSON
+        raise ValidationError(f"cannot read config {path}: {exc}") from None
     if not isinstance(cfg, dict):
         raise ValidationError("config file must hold a flat JSON object")
     return cfg
@@ -191,14 +194,24 @@ def cmd_estimate(opts: _Options) -> int:
 def cmd_forecast(opts: _Options) -> int:
     panel = _load_panel(opts)
     fit = _fit(opts, panel)
+    if not fit.converged:
+        raise ConvergenceError(
+            f"{fit.method} fit did not converge; no forecast written",
+            traces=[d.start_traces for d in fit.diagnostics],
+        )
     h = int(opts.get("horizon", 1))
     alpha = float(opts.get("alpha", 0.05))
     n_draws = int(opts.get("n_draws", 10_000))
     seed = int(opts.get("seed", 0))
     weights = _load_weight_list(opts, panel)
+    # one scenario set, priced for every portfolio
+    scenarios = fhs_cumulative_returns(
+        fit, panel, h=h, n_draws=n_draws, rng_seed=seed,
+        project=np.column_stack([w for _, w in weights]),
+    )
     result = []
-    for name, w in weights:
-        draws = fhs_forecast(fit, panel, w, h=h, n_draws=n_draws, rng_seed=seed)
+    for j, (name, _) in enumerate(weights):
+        draws = scenarios[:, j]
         result.append({
             "portfolio": name,
             "var": var_from_distribution(draws, alpha),
@@ -401,9 +414,8 @@ COMMANDS = {
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    opts = _Options(args)
     try:
-        return COMMANDS[args.command](opts)
+        return COMMANDS[args.command](_Options(args))
     except ValidationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -128,14 +128,23 @@ def fhs_cumulative_returns(
     n_draws: int = 10_000,
     rng_seed=0,
     residuals: Optional[np.ndarray] = None,
+    *,
+    project: np.ndarray,
 ) -> np.ndarray:
-    """Simulated h-period cumulative asset returns from the filtered state.
+    """Simulated h-period cumulative portfolio returns from the filtered state.
 
     Residual rows are drawn iid with replacement (preserving their
     contemporaneous dependence) and propagated through the fitted recursion
-    for h steps. Returns an n_draws x p matrix of summed per-step returns;
-    any portfolio's h-period return is its weighted row sum.
-    ``residuals`` is a test hook replacing the fit's own standardized rows.
+    for h steps. ``project`` is a p x m matrix of asset weights, one column
+    per portfolio; the result is the n_draws x m matrix of the portfolios'
+    summed per-step returns, all priced from one scenario set. No n_draws
+    x p matrix of asset returns is formed. The one-step variance
+    ``lam_next`` is the same for every draw, so the first step is projected
+    before it is drawn: a gather of rows of the T x m matrix
+    ``Z diag(lam_next)^(1/2) V'project``. Only the later steps of an h > 1
+    horizon, whose variances differ per draw, form each draw's rotated
+    returns. ``residuals`` is a test hook replacing the fit's own
+    standardized rows.
     """
     if h < 1:
         raise ValidationError("horizon must be at least 1")
@@ -143,6 +152,14 @@ def fhs_cumulative_returns(
         raise ValidationError("need n_draws >= 1000 for a stable quantile")
     Xv = _panel_values(X)
     V = fit.target.V
+    p = V.shape[0]
+    project = np.asarray(project, dtype=float)
+    if project.ndim != 2 or project.shape[0] != p:
+        raise ValidationError(
+            f"{p} assets need a {p} x m weight matrix, got shape {project.shape}"
+        )
+    if not np.all(np.isfinite(project)):
+        raise ValidationError("weights must be finite")
     A, b, W = fit.dynamics.A, fit.dynamics.b, fit.W
     Y = rotate_returns(Xv, V)
     path = filter_eigenvalues(fit.spec(), Y)
@@ -154,14 +171,17 @@ def fhs_cumulative_returns(
     lam_next = W + A @ (Y[-1] ** 2) + b * path.lam_t[-1]
     rng = np.random.default_rng(rng_seed)
     idx = rng.integers(0, Z.shape[0], size=(h, n_draws))
-    lam = np.broadcast_to(lam_next, (n_draws, V.shape[0])).copy()
-    total = np.zeros((n_draws, V.shape[0]))
-    for k in range(h):
-        Yk = np.sqrt(lam) * Z[idx[k]]
-        total += Yk
-        if k + 1 < h:
+    Q = V.T @ project
+    # the first step's variance is the same for every draw: project, then draw
+    out = (Z @ (np.sqrt(lam_next)[:, None] * Q))[idx[0]]
+    if h > 1:
+        # later steps' variances differ per draw
+        lam, Yk = lam_next, np.sqrt(lam_next) * Z[idx[0]]
+        for k in range(1, h):
             lam = W + Yk**2 @ A.T + lam * b
-    return total @ V.T
+            Yk = np.sqrt(lam) * Z[idx[k]]
+            out += Yk @ Q
+    return out
 
 
 @single_threaded
@@ -177,7 +197,9 @@ def fhs_forecast(
     """Simulated h-period portfolio returns from the filtered state.
 
     Deterministic under a fixed seed; long-short and geared weight vectors
-    are accepted as-is. Returns the n_draws simulated h-period returns.
+    are accepted as-is. Returns the n_draws simulated h-period returns: the
+    one column of ``fhs_cumulative_returns`` projected on ``weights``, so
+    portfolios forecast with the same seed share one scenario set.
     """
     if isinstance(weights, dict):
         if not isinstance(X, ReturnPanel):
@@ -185,14 +207,12 @@ def fhs_forecast(
         w = align_weights(weights, X.labels)
     else:
         w = np.atleast_1d(np.asarray(weights, dtype=float))
-    if not np.all(np.isfinite(w)):
-        raise ValidationError("weights must be finite")
-    assets = fhs_cumulative_returns(fit, X, h, n_draws, rng_seed, residuals)
-    if w.shape != (assets.shape[1],):
-        raise ValidationError(
-            f"{w.shape[0]} weights for {assets.shape[1]} assets"
-        )
-    return assets @ w
+    p = fit.target.V.shape[0]
+    if w.shape != (p,):
+        raise ValidationError(f"{w.shape[0]} weights for {p} assets")
+    return fhs_cumulative_returns(
+        fit, X, h, n_draws, rng_seed, residuals, project=w[:, None]
+    )[:, 0]
 
 
 def var_from_distribution(draws: np.ndarray, alpha: float) -> float:
@@ -310,7 +330,10 @@ def rolling_backtest(
     ``refit_every`` observations, default every ``horizon``) filters the
     window data, a filtered-simulation forecast produces the h-period VaR,
     and the realized h-period return on the following non-overlapping block
-    scores the hit. ``refit_seconds`` records each refit's process CPU time
+    scores the hit. Each origin draws one scenario set, from its own child
+    of ``rng_seed``, and prices every portfolio from it: the portfolios'
+    weights are stacked into the one ``project`` matrix of
+    ``fhs_cumulative_returns``. ``refit_seconds`` records each refit's process CPU time
     (summed over threads), not its wall-clock time. A refit that does not
     converge raises ConvergenceError naming its origin, the first row after
     its window.
@@ -346,7 +369,10 @@ def rolling_backtest(
         if w.shape != (p,):
             raise ValidationError(f"portfolio {name}: {w.shape[0]} weights for {p} assets")
         port_w.append((name, w))
+    if not port_w:
+        raise ValidationError("need at least one portfolio")
 
+    weights = np.column_stack([w for _, w in port_w])
     ss = np.random.SeedSequence(rng_seed)
     forecast_seeds = ss.spawn(n_forecasts)
 
@@ -376,11 +402,12 @@ def rolling_backtest(
         history = Xv[max(0, origin - window):origin]
         block = Xv[origin:origin + horizon]
         # one scenario set per origin, priced for every portfolio
-        assets = fhs_cumulative_returns(
-            fit, history, h=horizon, n_draws=n_draws, rng_seed=forecast_seeds[k]
+        draws = fhs_cumulative_returns(
+            fit, history, h=horizon, n_draws=n_draws, rng_seed=forecast_seeds[k],
+            project=weights,
         )
-        for j, (name, w) in enumerate(port_w):
-            var_paths[j, k] = var_from_distribution(assets @ w, alpha)
+        for j, (_, w) in enumerate(port_w):
+            var_paths[j, k] = var_from_distribution(draws[:, j], alpha)
             realized[j, k] = float((block @ w).sum())
 
     portfolios = []

@@ -6,7 +6,15 @@ import json
 import numpy as np
 import pytest
 
-from eigengarch import ConvergenceError, OptimizerConfig, _blas, load_returns_csv
+from eigengarch import (
+    ConvergenceError,
+    OptimizerConfig,
+    _blas,
+    fhs_forecast,
+    fit_spectral_targeting,
+    load_returns_csv,
+    var_from_distribution,
+)
 from eigengarch.cli import main
 
 
@@ -88,6 +96,38 @@ class TestForecast:
             run(["forecast", "--input", sim_dir / "panel.csv", "--seed", "5",
                  "--n-draws", "1500", "--out", out])
         assert (a / "forecast.json").read_text() == (b / "forecast.json").read_text()
+
+    def test_portfolios_match_per_portfolio_forecasts(self, sim_dir, tmp_path):
+        # every portfolio is priced from the one scenario set of the seed
+        weights = tmp_path / "weights.csv"
+        weights.write_text("ticker,EW,LS,G\nA1,0.5,1.0,1.5\nA2,0.5,-0.5,0.7\n")
+        assert run(["forecast", "--input", sim_dir / "panel.csv", "--weights", weights,
+                    "--horizon", "3", "--n-draws", "2000", "--seed", "4",
+                    "--out", tmp_path]) == 0
+        fc = json.loads((tmp_path / "forecast.json").read_text())
+        panel = load_returns_csv(sim_dir / "panel.csv")
+        fit = fit_spectral_targeting(panel)
+        ws = {"EW": [0.5, 0.5], "LS": [1.0, -0.5], "G": [1.5, 0.7]}
+        assert [pf["portfolio"] for pf in fc["portfolios"]] == list(ws)
+        for pf in fc["portfolios"]:
+            draws = fhs_forecast(fit, panel, np.array(ws[pf["portfolio"]]), h=3,
+                                 n_draws=2000, rng_seed=4)
+            assert pf["var"] == pytest.approx(var_from_distribution(draws, 0.05),
+                                              rel=1e-12)
+            for key, level in (("q01", 0.01), ("q05", 0.05), ("q50", 0.50)):
+                assert pf["quantiles"][key] == pytest.approx(
+                    -var_from_distribution(draws, level), rel=1e-12)
+
+    def test_nonconverged_qmle_fit_is_3(self, sim_dir, tmp_path, monkeypatch, capsys):
+        from eigengarch import cli
+
+        real_fit = cli.fit_joint_qmle
+        monkeypatch.setattr(cli, "fit_joint_qmle", lambda X, diag_a: real_fit(
+            X, OptimizerConfig(max_iterations=1), diag_a=diag_a))
+        assert run(["forecast", "--input", sim_dir / "panel.csv", "--method", "qmle",
+                    "--out", tmp_path]) == 3
+        assert "did not converge" in capsys.readouterr().err
+        assert not (tmp_path / "forecast.json").exists()
 
 
 class TestBacktest:
@@ -184,6 +224,17 @@ class TestConfigFile:
         assert run(["simulate", "--config", cfg, "--T", "80", "--out", out2]) == 0
         meta2 = json.loads((out2 / "simulate_meta.json").read_text())
         assert meta2["T"] == 80 and meta2["dgp"] == "case2"
+
+    def test_missing_config_is_validation_error(self, tmp_path, capsys):
+        assert run(["simulate", "--config", tmp_path / "nope.json",
+                    "--out", tmp_path]) == 2
+        assert capsys.readouterr().err.startswith("error: cannot read config")
+
+    def test_malformed_config_is_validation_error(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text('{"dgp": "case2",')
+        assert run(["simulate", "--config", cfg, "--out", tmp_path]) == 2
+        assert capsys.readouterr().err.startswith("error: cannot read config")
 
 
 class TestExitCodes:

@@ -21,7 +21,9 @@ from eigengarch import (
 )
 from eigengarch.estimation import ModelFit, OptimizerConfig
 from eigengarch.experiments import density_case_spec, diagonal_benchmark_spec
+from eigengarch.model import filter_eigenvalues
 from eigengarch.panel import bundled_weights_path, load_weights_csv
+from eigengarch.risk import fhs_cumulative_returns
 from eigengarch.spectral import SpectralTarget
 
 
@@ -146,6 +148,87 @@ class TestFHSForecast:
             fhs_forecast(fit, X, np.ones(2), n_draws=10)
         with pytest.raises(ValidationError):
             fhs_forecast(fit, X, np.array([np.inf, 1.0]))
+
+
+def asset_return_draws(fit, X, h, n_draws, rng_seed, Z=None):
+    """Reference FHS asset returns: each draw's rotated returns, summed over
+    the h steps and rotated back to assets, with no projection."""
+    V, A, b = fit.target.V, fit.dynamics.A, fit.dynamics.b
+    Y = X @ V
+    lam_t = filter_eigenvalues(fit.spec(), Y).lam_t
+    if Z is None:
+        Z = Y / np.sqrt(lam_t)
+    lam_next = fit.W + A @ Y[-1] ** 2 + b * lam_t[-1]
+    idx = np.random.default_rng(rng_seed).integers(0, Z.shape[0], size=(h, n_draws))
+    assets = np.zeros((n_draws, V.shape[0]))
+    lam = [lam_next] * n_draws
+    for k in range(h):
+        rotated = np.array([np.sqrt(lam[d]) * Z[idx[k, d]] for d in range(n_draws)])
+        assets += rotated @ V.T
+        lam = [fit.W + A @ rotated[d] ** 2 + b * lam[d] for d in range(n_draws)]
+    return assets
+
+
+class TestProjectedScenarios:
+    @pytest.mark.parametrize("h", [1, 3])
+    @pytest.mark.parametrize("diag_a", [True, False])
+    @pytest.mark.parametrize("hook", [False, True])
+    def test_projection_equals_weighted_asset_returns(self, h, diag_a, hook):
+        X = simulate_path(diagonal_benchmark_spec(4), T=700, burn_in=200, rng_seed=6)
+        fit = fit_spectral_targeting(X, diag_a=diag_a)
+        residuals = np.random.default_rng(1).standard_normal((500, 4)) if hook else None
+        Wm = np.array([[0.25, 1.0, 2.0], [0.25, -0.5, 0.0],
+                       [0.25, 0.3, -1.0], [0.25, 0.2, 0.5]])
+        priced = fhs_cumulative_returns(fit, X, h=h, n_draws=2000, rng_seed=7,
+                                        residuals=residuals, project=Wm)
+        expected = asset_return_draws(fit, X, h, 2000, 7, residuals) @ Wm
+        assert priced.shape == (2000, 3)
+        np.testing.assert_allclose(priced, expected, rtol=1e-12,
+                                   atol=1e-12 * np.abs(expected).max())
+
+    def test_wrong_row_count_rejected(self):
+        X = simulate_path(density_case_spec(1), T=300, burn_in=100, rng_seed=1)
+        fit = truth_fit(density_case_spec(1))
+        with pytest.raises(ValidationError, match=r"2 x m weight matrix, got shape \(3, 2\)"):
+            fhs_cumulative_returns(fit, X, project=np.ones((3, 2)))
+        with pytest.raises(ValidationError):
+            fhs_cumulative_returns(fit, X, project=np.ones(2))
+
+    def test_wrong_weight_count_names_the_vector(self):
+        X = simulate_path(density_case_spec(1), T=300, burn_in=100, rng_seed=1)
+        fit = truth_fit(density_case_spec(1))
+        with pytest.raises(ValidationError, match="3 weights for 2 assets"):
+            fhs_forecast(fit, X, np.ones(3))
+
+    def test_backtest_needs_a_portfolio(self):
+        X = simulate_path(density_case_spec(1), T=400, burn_in=100, rng_seed=1)
+        with pytest.raises(ValidationError, match="at least one portfolio"):
+            rolling_backtest(X, [], window=300)
+
+    def test_backtest_matches_per_origin_forecasts(self):
+        spec = diagonal_benchmark_spec(3)
+        window, horizon, refit_every, n, alpha = 300, 2, 20, 25, 0.05
+        X = simulate_path(spec, T=window + n * horizon, burn_in=300, rng_seed=8)
+        weights = [np.full(3, 1.0 / 3.0), np.array([1.0, -0.5, 0.2])]
+        report = rolling_backtest(X, weights, window=window, horizon=horizon,
+                                  alpha=alpha, refit_every=refit_every, diag_a=True,
+                                  n_draws=1000, rng_seed=11)
+        assert len(report.refit_seconds) == 3
+        seeds = np.random.SeedSequence(11).spawn(n)
+        var_paths = np.empty((2, n))
+        realized = np.empty((2, n))
+        for k in range(n):
+            origin = window + k * horizon
+            if k * horizon % refit_every == 0:
+                fit = fit_spectral_targeting(X[origin - window:origin], diag_a=True)
+            for j, w in enumerate(weights):
+                draws = fhs_forecast(fit, X[origin - window:origin], w, h=horizon,
+                                     n_draws=1000, rng_seed=seeds[k])
+                var_paths[j, k] = var_from_distribution(draws, alpha)
+                realized[j, k] = X[origin:origin + horizon].sum(axis=0) @ w
+        for j, pf in enumerate(report.portfolios):
+            np.testing.assert_allclose(pf.var_path, var_paths[j], rtol=1e-12)
+            np.testing.assert_array_equal(pf.hits, hit_sequence(realized[j], var_paths[j]))
 
 
 class TestVarFromDistribution:

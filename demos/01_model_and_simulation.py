@@ -48,5 +48,5 @@ print("model covariance:\n", ((V * spec.lam) @ V.T).round(4))
 # filtering returns through the recursion recovers the volatility state
 Y = rotate_returns(X, V)
 path = filter_eigenvalues(spec, Y)
-print("\nfiltered eigenvalue path: mean", path.lam_t.mean(axis=0).round(4),
+print("\nfiltered eigenvalue path: mean", path.mean(axis=0).round(4),
       "vs unconditional", spec.lam.round(4))

@@ -12,7 +12,6 @@ import numpy as np
 
 from eigengarch import (
     fit_joint_qmle,
-    fit_rotation_first_step,
     fit_spectral_targeting,
     simulate_path,
 )
@@ -40,9 +39,3 @@ print("  eigenvalues:", qmle.target.lam.round(4))
 print("  criterion:", round(qmle.total_nll, 6),
       " (optimizes strictly more parameters, so never worse)")
 
-# the rotation-parameterized first step is an alternative to the moment
-# targets: it maximizes the static Gaussian likelihood over plane-rotation
-# angles, profiling the eigenvalues out in closed form
-rot = fit_rotation_first_step(X)
-print("\nrotation-ML first step eigenvalues:", rot.lam.round(4))
-print("moment-estimator eigenvalues:      ", ste.target.lam.round(4))

@@ -27,7 +27,6 @@ from .spectral import (
 )
 from .model import (
     DynamicsParams,
-    EigenvaluePath,
     ModelSpec,
     filter_eigenvalues,
     intercepts_from_targets,
@@ -45,14 +44,12 @@ from .panel import (
     write_panel_csv,
 )
 from .estimation import (
-    EquationParams,
     ModelFit,
     OptimizerConfig,
     equation_nll,
     equation_score,
     fit_equation,
     fit_joint_qmle,
-    fit_rotation_first_step,
     fit_spectral_targeting,
     rotate_returns,
 )

@@ -226,6 +226,7 @@ def cmd_forecast(opts: _Options) -> int:
     _write_json(_out_dir(opts) / "forecast.json", {
         "horizon": h, "alpha": alpha, "n_draws": n_draws, "seed": seed,
         "method": fit.method, "portfolios": result,
+        "blas_threads": pinned_thread_counts(),
     })
     return 0
 

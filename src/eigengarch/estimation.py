@@ -15,7 +15,7 @@ kept as a benchmark.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional, Sequence, Union
+from typing import Optional, Sequence
 
 import numpy as np
 from scipy.optimize import minimize
@@ -35,7 +35,6 @@ from .spectral import (
 
 __all__ = [
     "OptimizerConfig",
-    "EquationParams",
     "EquationDiagnostics",
     "ModelFit",
     "rotate_returns",
@@ -44,61 +43,35 @@ __all__ = [
     "fit_equation",
     "fit_spectral_targeting",
     "fit_joint_qmle",
-    "fit_rotation_first_step",
-    "joint_fit_invocations",
 ]
 
 PENALTY_BASE = 1e10
 PENALTY_SCALE = 1e10
-
-# instrumentation: number of joint-QMLE optimizations performed
-_joint_fit_calls = 0
-
-
-def joint_fit_invocations() -> int:
-    """How many joint-QMLE optimizations have run in this process."""
-    return _joint_fit_calls
+GRAD_TOL = 1e-9        # L-BFGS-B projected-gradient tolerance
+A_MAX = 1.0            # upper bound of every ARCH loading
+B_MAX = 1.0 - 1e-6     # upper bound of every persistence coefficient
+W_FLOOR_REL = 1e-10    # smallest feasible intercept, relative to its target
 
 
 @dataclass(frozen=True)
 class OptimizerConfig:
-    """Settings for the box-constrained quasi-Newton equation fits."""
+    """Settings for the box-constrained quasi-Newton fits.
+
+    ``starts`` replaces the three default equation starts with the given
+    kappa vectors, all of which are run.
+    """
 
     max_iterations: int = 500
-    grad_tol: float = 1e-9
-    param_tol: float = 1e-7
-    multi_start: int = 3
     starts: Optional[Sequence] = None
-    a_max: float = 1.0
-    b_max: float = 1.0 - 1e-6
-    w_floor_rel: float = 1e-10
 
     def __post_init__(self):
-        if self.grad_tol <= 0 or self.param_tol <= 0:
-            raise ValidationError("tolerances must be positive")
-        if self.max_iterations < 1 or self.multi_start < 1:
-            raise ValidationError("iteration and start counts must be positive")
+        if self.max_iterations < 1:
+            raise ValidationError("iteration count must be positive")
+        if self.starts is not None and len(self.starts) == 0:
+            raise ValidationError("starts, when given, must not be empty")
 
 
 DEFAULT_CONFIG = OptimizerConfig()
-
-
-@dataclass(frozen=True)
-class EquationParams:
-    """Dynamic coefficients of one rotated return: [a_i1, ..., a_ip, b_i]."""
-
-    kappa: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "kappa", np.asarray(self.kappa, dtype=float))
-
-    @property
-    def a(self) -> np.ndarray:
-        return self.kappa[:-1]
-
-    @property
-    def b(self) -> float:
-        return float(self.kappa[-1])
 
 
 @dataclass
@@ -143,9 +116,6 @@ class ModelFit:
         return ModelSpec(
             V=self.target.V, dynamics=self.dynamics, W=self.W, lam=self.target.lam
         )
-
-    def equation(self, i: int) -> EquationParams:
-        return EquationParams(self.kappas[i])
 
 
 def rotate_returns(X: np.ndarray, V: np.ndarray) -> np.ndarray:
@@ -214,18 +184,6 @@ def _equation_kernel(kappa: np.ndarray, lam_vec: np.ndarray, Y2: np.ndarray,
     return value, grad, lam, r
 
 
-def _init_lam0(lam_vec: np.ndarray, Y2: np.ndarray, i: int,
-               init: Union[str, np.ndarray]) -> float:
-    if isinstance(init, str):
-        if init == "unconditional":
-            return float(lam_vec[i])
-        if init == "sample-variance":
-            return float(Y2[:, i].mean())
-        raise ValidationError(f"unknown initialization scheme {init!r}")
-    vec = np.atleast_1d(np.asarray(init, dtype=float))
-    return float(vec[i])
-
-
 def _penalized(w: float, floor: float, lam_vec: np.ndarray, i: int):
     """Smooth pull-back for the infeasible region w <= floor.
 
@@ -241,44 +199,49 @@ def _penalized(w: float, floor: float, lam_vec: np.ndarray, i: int):
     return value, grad
 
 
-def _nll_grad_core(kappa: np.ndarray, lam_vec: np.ndarray, Y2: np.ndarray,
-                   i: int, init, w_floor_rel: float = DEFAULT_CONFIG.w_floor_rel):
-    """Criterion and analytic kappa-gradient on pre-squared rotated returns."""
+def _nll_grad_core(kappa: np.ndarray, lam_vec: np.ndarray, Y2: np.ndarray, i: int):
+    """Criterion and analytic kappa-gradient on pre-squared rotated returns.
+
+    The path starts at the target lam_i.
+    """
     p = lam_vec.shape[0]
     a, b = kappa[:p], float(kappa[p])
-    floor = w_floor_rel * lam_vec[i]
+    floor = W_FLOOR_REL * lam_vec[i]
     w = (1.0 - b) * lam_vec[i] - float(a @ lam_vec)
     if w <= floor or b >= 1.0 or (a < 0).any() or b < 0:
         value, grad = _penalized(w, floor, lam_vec, i)
         return value, grad, False
-    value, grad, _, _ = _equation_kernel(kappa, lam_vec, Y2, i,
-                                         _init_lam0(lam_vec, Y2, i, init))
+    value, grad, _, _ = _equation_kernel(kappa, lam_vec, Y2, i, float(lam_vec[i]))
     return value, grad, True
 
 
-def _check_kappa_shape(kappa, p: int) -> np.ndarray:
+def _check_equation_index(i, p: int) -> None:
+    if not 0 <= i < p:
+        raise ValidationError(f"equation index {i} is outside 0..{p - 1}")
+
+
+def _check_kappa(kappa, p: int, i) -> np.ndarray:
+    _check_equation_index(i, p)
     kappa = np.atleast_1d(np.asarray(kappa, dtype=float))
     if kappa.shape != (p + 1,):
         raise ValidationError(f"kappa must have length {p + 1}, got {kappa.shape}")
     return kappa
 
 
-def equation_nll(kappa, gamma, Y: np.ndarray, i: int,
-                 init: Union[str, np.ndarray] = "unconditional") -> float:
+def equation_nll(kappa, gamma, Y: np.ndarray, i: int) -> float:
     """Profiled Gaussian criterion of one rotated return.
 
     Returns a large finite penalty (never raises) when the implied intercept
     is non-positive, so optimizers can recover from the invalid region.
     """
     lam_vec = _as_lam(gamma)
-    kappa = _check_kappa_shape(kappa, lam_vec.shape[0])
+    kappa = _check_kappa(kappa, lam_vec.shape[0], i)
     Y2 = np.atleast_2d(np.asarray(Y, dtype=float)) ** 2
-    value, _, _ = _nll_grad_core(kappa, lam_vec, Y2, i, init)
+    value, _, _ = _nll_grad_core(kappa, lam_vec, Y2, i)
     return value
 
 
-def equation_score(kappa, gamma, Y: np.ndarray, i: int,
-                   init: Union[str, np.ndarray] = "unconditional") -> np.ndarray:
+def equation_score(kappa, gamma, Y: np.ndarray, i: int) -> np.ndarray:
     """Analytic gradient of the equation criterion wrt kappa.
 
     The rotated returns are constant in kappa, so only the eigenvalue path
@@ -286,44 +249,42 @@ def equation_score(kappa, gamma, Y: np.ndarray, i: int,
     run backward in time.
     """
     lam_vec = _as_lam(gamma)
-    kappa = _check_kappa_shape(kappa, lam_vec.shape[0])
+    kappa = _check_kappa(kappa, lam_vec.shape[0], i)
     Y2 = np.atleast_2d(np.asarray(Y, dtype=float)) ** 2
-    _, grad, feasible = _nll_grad_core(kappa, lam_vec, Y2, i, init)
+    _, grad, feasible = _nll_grad_core(kappa, lam_vec, Y2, i)
     if not feasible:
         raise ValidationError("score requested at an infeasible point")
     return grad
 
 
-def _forward_derivs(kappa, gamma, Y: np.ndarray, i: int, init):
+def _forward_derivs(kappa, gamma, Y: np.ndarray, i: int):
     """Checked kappa, squared returns, path and forward kappa-derivatives (feasible point)."""
     lam_vec = _as_lam(gamma)
-    kappa = _check_kappa_shape(kappa, lam_vec.shape[0])
+    kappa = _check_kappa(kappa, lam_vec.shape[0], i)
     p = lam_vec.shape[0]
     Y2 = np.atleast_2d(np.asarray(Y, dtype=float)) ** 2
     b = float(kappa[p])
-    lam = _lam_path(Y2, lam_vec, i, kappa[:p], b, _init_lam0(lam_vec, Y2, i, init))
+    lam = _lam_path(Y2, lam_vec, i, kappa[:p], b, float(lam_vec[i]))
     return kappa, Y2, lam, _lam_derivs(Y2, lam_vec, i, b, lam)
 
 
-def equation_score_contributions(kappa, gamma, Y: np.ndarray, i: int,
-                                 init: Union[str, np.ndarray] = "unconditional") -> np.ndarray:
+def equation_score_contributions(kappa, gamma, Y: np.ndarray, i: int) -> np.ndarray:
     """Per-observation score vectors (T x (p+1)), not averaged.
 
     Assumes an interior (feasible) point.
     """
-    _, Y2, lam, dlam = _forward_derivs(kappa, gamma, Y, i, init)
+    _, Y2, lam, dlam = _forward_derivs(kappa, gamma, Y, i)
     return ((1.0 - Y2[:, i] / lam) / lam)[:, None] * dlam
 
 
-def equation_kappa_hessian(kappa, gamma, Y: np.ndarray, i: int,
-                           init: Union[str, np.ndarray] = "unconditional") -> np.ndarray:
+def equation_kappa_hessian(kappa, gamma, Y: np.ndarray, i: int) -> np.ndarray:
     """Analytic (1/T) sum_t d^2 l_t / dkappa dkappa' at the given point.
 
     Only the eigenvalue path depends on kappa; its second derivatives vanish
     in the a-a block, and their b-lagged recursions for the a-b and b-b
     terms are contracted through the adjoint of the score weights.
     """
-    kappa, Y2, lam, dlam = _forward_derivs(kappa, gamma, Y, i, init)
+    kappa, Y2, lam, dlam = _forward_derivs(kappa, gamma, Y, i)
     T, p = Y2.shape
     y2 = Y2[:, i]
     w1 = (1.0 - y2 / lam) / lam                # multiplies d2lam
@@ -352,7 +313,7 @@ def equation_cross_hessian(kappa, target: SpectralTarget, X: np.ndarray,
     and no T x p^2 array is formed.
     """
     Y = rotate_returns(X, target.V)
-    kappa, Y2, lam, dlam = _forward_derivs(kappa, target.lam, Y, i, "unconditional")
+    kappa, Y2, lam, dlam = _forward_derivs(kappa, target.lam, Y, i)
     T, p = Y.shape
     a, b = kappa[:p], float(kappa[p])
     w1 = (1.0 - Y2[:, i] / lam) / lam
@@ -385,10 +346,9 @@ def equation_cross_hessian(kappa, target: SpectralTarget, X: np.ndarray,
 
 def _default_starts(p: int, i: int, cfg: OptimizerConfig) -> list[np.ndarray]:
     if cfg.starts is not None:
-        return [np.asarray(s, dtype=float) for s in cfg.starts][: cfg.multi_start]
-    schemes = [(0.05, 0.01, 0.85), (0.10, 0.0, 0.80), (0.02, 0.0, 0.90)]
+        return [np.asarray(s, dtype=float) for s in cfg.starts]
     starts = []
-    for own, off, b in schemes[: cfg.multi_start]:
+    for own, off, b in [(0.05, 0.01, 0.85), (0.10, 0.0, 0.80), (0.02, 0.0, 0.90)]:
         kappa = np.full(p + 1, off)
         kappa[i] = own
         kappa[p] = b
@@ -412,21 +372,21 @@ def _repair_start(kappa: np.ndarray, lam_vec: np.ndarray, i: int,
 @single_threaded
 def fit_equation(Y: np.ndarray, gamma_hat, i: int,
                  cfg: OptimizerConfig = DEFAULT_CONFIG,
-                 diag_a: bool = False, fit_b: bool = True,
-                 init: Union[str, np.ndarray] = "unconditional"):
+                 diag_a: bool = False, fit_b: bool = True):
     """Fit the dynamic coefficients of rotated return i given the targets.
 
     Box-constrained L-BFGS-B with the analytic score and multi-start; the
     implied-intercept constraint is enforced through a smooth pull-back that
     leaves the criterion untouched at feasible points.
 
-    Returns (EquationParams, EquationDiagnostics).
+    Returns (kappa, EquationDiagnostics), kappa = [a_i1, ..., a_ip, b_i].
     """
     lam_vec = _as_lam(gamma_hat)
     Y = np.atleast_2d(np.asarray(Y, dtype=float))
     Y2 = Y**2
     p = lam_vec.shape[0]
-    floor = cfg.w_floor_rel * lam_vec[i]
+    _check_equation_index(i, p)
+    floor = W_FLOOR_REL * lam_vec[i]
 
     if diag_a:
         free = [i, p] if fit_b else [i]
@@ -434,13 +394,13 @@ def fit_equation(Y: np.ndarray, gamma_hat, i: int,
         free = list(range(p + 1)) if fit_b else list(range(p))
 
     bounds = [
-        (0.0, cfg.b_max) if idx == p else (0.0, cfg.a_max) for idx in free
+        (0.0, B_MAX) if idx == p else (0.0, A_MAX) for idx in free
     ]
 
     def objective(free_vals):
         kappa = np.zeros(p + 1)
         kappa[free] = free_vals
-        value, grad, _ = _nll_grad_core(kappa, lam_vec, Y2, i, init, cfg.w_floor_rel)
+        value, grad, _ = _nll_grad_core(kappa, lam_vec, Y2, i)
         return value, grad[free]
 
     traces = []
@@ -462,7 +422,7 @@ def fit_equation(Y: np.ndarray, gamma_hat, i: int,
             bounds=bounds,
             options={
                 "maxiter": cfg.max_iterations,
-                "gtol": cfg.grad_tol,
+                "gtol": GRAD_TOL,
                 "ftol": 1e-14,
             },
         )
@@ -502,7 +462,7 @@ def fit_equation(Y: np.ndarray, gamma_hat, i: int,
         active_constraints=active,
         start_traces=traces,
     )
-    return EquationParams(kappa), diag
+    return kappa, diag
 
 
 def _panel_values(X) -> np.ndarray:
@@ -524,8 +484,7 @@ def _check_panel(X: np.ndarray, labels=None):
 
 @single_threaded
 def fit_spectral_targeting(X, cfg: OptimizerConfig = DEFAULT_CONFIG,
-                           diag_a: bool = False, fit_b: bool = True,
-                           init: Union[str, np.ndarray] = "unconditional") -> ModelFit:
+                           diag_a: bool = False, fit_b: bool = True) -> ModelFit:
     """Two-step estimator: moment targets, then independent equation fits.
 
     Step one computes the uncentered second-moment matrix and its identified
@@ -539,10 +498,10 @@ def fit_spectral_targeting(X, cfg: OptimizerConfig = DEFAULT_CONFIG,
     Y = rotate_returns(Xv, target.V)
     p = Xv.shape[1]
 
-    results = [fit_equation(Y, target, i, cfg, diag_a=diag_a, fit_b=fit_b, init=init)
+    results = [fit_equation(Y, target, i, cfg, diag_a=diag_a, fit_b=fit_b)
                for i in range(p)]
 
-    kappas = np.vstack([eq.kappa for eq, _ in results])
+    kappas = np.vstack([kappa for kappa, _ in results])
     diags = [d for _, d in results]
     W = np.array(
         [
@@ -607,8 +566,7 @@ def _joint_layout(p: int, diag_a: bool):
     return n_phi, kappa_len, p + n_phi + p * kappa_len
 
 
-def _joint_nll_grad(theta: np.ndarray, X: np.ndarray, p: int, diag_a: bool,
-                    w_floor_rel: float):
+def _joint_nll_grad(theta: np.ndarray, X: np.ndarray, p: int, diag_a: bool):
     """Joint criterion with the analytic gradient wrt (lam, phi, kappa).
 
     Each equation's adjoint r gives its kappa block, its lam block
@@ -639,7 +597,7 @@ def _joint_nll_grad(theta: np.ndarray, X: np.ndarray, p: int, diag_a: bool,
             a[i], b = block[0], float(block[1])
         else:
             a, b = block[:p].copy(), float(block[p])
-        floor = w_floor_rel * max(lam_vec[i], 1e-12)
+        floor = W_FLOOR_REL * max(lam_vec[i], 1e-12)
         w = (1.0 - b) * lam_vec[i] - float(a @ lam_vec)
         # dw/dlam_k = (1-b) delta_ik - a_k ; dw/da_j = -lam_j ; dw/db = -lam_i
         dw = -a
@@ -688,7 +646,6 @@ def fit_joint_qmle(X, cfg: OptimizerConfig = DEFAULT_CONFIG,
     directly comparable with the two-step fit. Non-convergence is reported
     through the ``converged`` flag and per-start traces, never hidden.
     """
-    global _joint_fit_calls
     labels = X.labels if isinstance(X, ReturnPanel) else None
     Xv = _panel_values(X)
     _check_panel(Xv, labels)
@@ -731,22 +688,21 @@ def fit_joint_qmle(X, cfg: OptimizerConfig = DEFAULT_CONFIG,
     bounds = [(1e-8, None)] * p + [(lo, hi)] * n_phi
     for _ in range(p):
         if diag_a:
-            bounds += [(0.0, cfg.a_max), (0.0, cfg.b_max)]
+            bounds += [(0.0, A_MAX), (0.0, B_MAX)]
         else:
-            bounds += [(0.0, cfg.a_max)] * p + [(0.0, cfg.b_max)]
+            bounds += [(0.0, A_MAX)] * p + [(0.0, B_MAX)]
 
     def objective(theta):
-        value, grad, _ = _joint_nll_grad(theta, Xv, p, diag_a, cfg.w_floor_rel)
+        value, grad, _ = _joint_nll_grad(theta, Xv, p, diag_a)
         return value, grad
 
-    _joint_fit_calls += 1
     traces = []
     best = None
     for theta0 in starts:
         res = minimize(objective, theta0, jac=True, method="L-BFGS-B",
                        bounds=bounds,
                        options={"maxiter": cfg.max_iterations,
-                                "gtol": cfg.grad_tol, "ftol": 1e-14})
+                                "gtol": GRAD_TOL, "ftol": 1e-14})
         traces.append({
             "success": bool(res.success),
             "nll": float(res.fun),
@@ -813,59 +769,3 @@ def fit_joint_qmle(X, cfg: OptimizerConfig = DEFAULT_CONFIG,
         converged=bool(best.success),
     )
 
-
-@single_threaded
-def fit_rotation_first_step(X, cfg: OptimizerConfig = DEFAULT_CONFIG,
-                            phi_lower: float = 1e-6) -> SpectralTarget:
-    """Rotation-parameterized maximum-likelihood alternative to the targets.
-
-    The eigenvalues profile out in closed form (lam_i(phi) is the i-th
-    diagonal of the rotated second-moment matrix), so only the angles are
-    optimized. The result is renormalized to the identified convention.
-    """
-    Xv = _panel_values(X)
-    _check_panel(Xv, X.labels if isinstance(X, ReturnPanel) else None)
-    H = sample_covariance(Xv).values
-    p = H.shape[0]
-    n_phi = p * (p - 1) // 2
-    hi = np.pi / 2 - 1e-6
-    if n_phi == 0:
-        return eigen_sym(H)
-
-    def objective(phi):
-        V, dV = givens_product_derivatives(phi, p)
-        m = np.einsum("ji,jk,ki->i", V, H, V)
-        val = float(np.sum(np.log(m)))
-        grad = np.empty(n_phi)
-        for k in range(n_phi):
-            dm = 2.0 * np.einsum("ji,jk,ki->i", dV[k], H, V)
-            grad[k] = float(np.sum(dm / m))
-        return val, grad
-
-    moment = eigen_sym(H)
-    matched = min(
-        (_match_angles(Vc, phi_lower, hi) for Vc in (moment.V, moment.V[:, ::-1])),
-        key=lambda t: t[1],
-    )[0]
-    starts = [
-        np.clip(matched, phi_lower, hi),
-        np.full(n_phi, np.pi / 4),
-        np.full(n_phi, 0.5),
-    ]
-    best = None
-    traces = []
-    for phi0 in starts:
-        res = minimize(objective, phi0, jac=True, method="L-BFGS-B",
-                       bounds=[(phi_lower, hi)] * n_phi,
-                       options={"maxiter": cfg.max_iterations,
-                                "gtol": cfg.grad_tol, "ftol": 1e-14})
-        traces.append({"success": bool(res.success), "cost": float(res.fun)})
-        if res.success and (best is None or res.fun < best.fun):
-            best = res
-    if best is None:
-        raise ConvergenceError("rotation first step failed to converge", traces=traces)
-    V = givens_product(best.x, p)
-    lam = np.einsum("ji,jk,ki->i", V, H, V).copy()
-    order = np.argsort(lam, kind="stable")
-    return SpectralTarget(lam=lam[order], V=_sign_fix(V[:, order]),
-                          recon_residual=float("nan"), near_repeated=False)

@@ -20,13 +20,7 @@ import numpy as np
 from scipy.stats import kstest
 
 from ._blas import single_threaded
-from .estimation import (
-    DEFAULT_CONFIG,
-    ModelFit,
-    OptimizerConfig,
-    fit_joint_qmle,
-    fit_spectral_targeting,
-)
+from .estimation import ModelFit, fit_joint_qmle, fit_spectral_targeting
 from .exceptions import ValidationError
 from .model import DynamicsParams, ModelSpec, simulate_path
 from .spectral import givens_product
@@ -51,7 +45,6 @@ class ExperimentConfig:
     T: int = 2000
     seed: int = 0
     estimators: Sequence[str] = ("ste", "qmle")
-    out_dir: Optional[str] = None
 
     def __post_init__(self):
         if self.n_replications < 1:
@@ -166,7 +159,6 @@ def relative_efficiency_statistic(
 @single_threaded
 def run_relative_efficiency(
     cfg: ExperimentConfig,
-    opt_cfg: OptimizerConfig = DEFAULT_CONFIG,
     qmle_failure_limit: float = 0.20,
 ) -> list[RelativeEfficiencyRow]:
     """Accuracy and single-core timing of the two estimators per dimension.
@@ -191,12 +183,12 @@ def run_relative_efficiency(
             X = simulate_path(spec, T=cfg.T, burn_in=1000, rng_seed=seed)
             if "ste" in cfg.estimators:
                 t0 = time.process_time()
-                fit = fit_spectral_targeting(X, opt_cfg, diag_a=True)
+                fit = fit_spectral_targeting(X, diag_a=True)
                 t_ste.append(time.process_time() - t0)
                 ste_thetas.append(_theta_vector(fit))
             if "qmle" in cfg.estimators:
                 t0 = time.process_time()
-                jfit = fit_joint_qmle(X, opt_cfg, diag_a=True)
+                jfit = fit_joint_qmle(X, diag_a=True)
                 t_qmle.append(time.process_time() - t0)
                 if not jfit.converged:
                     qmle_failures += 1

@@ -23,6 +23,7 @@ import numpy as np
 from ._blas import single_threaded
 from .estimation import (
     ModelFit,
+    _check_equation_index,
     _panel_values,
     equation_cross_hessian,
     equation_kappa_hessian,
@@ -86,11 +87,17 @@ def sandwich_blocks(fit: ModelFit, X, i: int) -> SandwichBlocks:
     deviations, the pseudo-inverse-weighted eigenvector deviations and the
     per-observation kappa-score.
 
-    Refuses boundary fits and near-repeated first-step eigenvalues, where
-    the asymptotic approximation breaks down.
+    Refuses a fit that is not two-step (the sandwich is the two-step
+    estimator's), boundary fits and near-repeated first-step eigenvalues,
+    where the asymptotic approximation breaks down.
     """
     Xv = _panel_values(X)
     T, p = Xv.shape
+    _check_equation_index(i, fit.p)
+    if fit.method != "STE":
+        raise InferenceError(
+            f"the two-step sandwich does not apply to a {fit.method} fit"
+        )
     if fit.target.near_repeated:
         raise InferenceError(
             "first-step eigenvalues are near-repeated; eigenvectors are "

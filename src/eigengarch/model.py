@@ -12,7 +12,7 @@ diagonal so each equation carries only its own lag.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Union
+from typing import Optional
 
 import numpy as np
 from scipy.signal import lfilter
@@ -24,7 +24,6 @@ from .spectral import SpectralTarget, spectral_radius
 __all__ = [
     "DynamicsParams",
     "ModelSpec",
-    "EigenvaluePath",
     "unconditional_eigenvalues",
     "intercepts_from_targets",
     "filter_eigenvalues",
@@ -134,19 +133,6 @@ class ModelSpec:
         return cls(V=np.asarray(V, dtype=float), dynamics=dynamics, W=W, lam=lam)
 
 
-@dataclass(frozen=True)
-class EigenvaluePath:
-    """Filtered conditional eigenvalues with the initialization record."""
-
-    lam_t: np.ndarray
-    init_scheme: str
-    init_value: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "lam_t", np.asarray(self.lam_t, dtype=float))
-        object.__setattr__(self, "init_value", np.asarray(self.init_value, dtype=float))
-
-
 def unconditional_eigenvalues(W: np.ndarray, dyn: DynamicsParams) -> np.ndarray:
     """Solve (I - A - B) lam = W for the unconditional eigenvalues."""
     W = np.atleast_1d(np.asarray(W, dtype=float))
@@ -190,39 +176,28 @@ def linear_recursion(c: np.ndarray, b: float, reverse: bool = False) -> np.ndarr
     return lfilter([1.0], [1.0, -b], c, axis=0)
 
 
-def _resolve_init(
-    spec: ModelSpec, Y: np.ndarray, init: Union[str, np.ndarray]
-) -> tuple[str, np.ndarray]:
-    if isinstance(init, str):
-        if init == "unconditional":
-            if spec.lam is not None:
-                return "unconditional", spec.lam.copy()
-            return "intercept-fallback", spec.W.copy()
-        if init == "sample-variance":
-            return "sample-variance", np.mean(Y**2, axis=0)
-        raise ValidationError(f"unknown initialization scheme {init!r}")
-    vec = np.atleast_1d(np.asarray(init, dtype=float))
-    if vec.shape != (spec.p,) or (vec <= 0).any():
-        raise ValidationError("fixed initialization must be a strictly positive p-vector")
-    return "fixed", vec
-
-
 @single_threaded
 def filter_eigenvalues(
     spec: ModelSpec,
     Y: np.ndarray,
-    init: Union[str, np.ndarray] = "unconditional",
-) -> EigenvaluePath:
-    """Run the eigenvalue recursion over rotated returns Y.
+    init: Optional[np.ndarray] = None,
+) -> np.ndarray:
+    """Run the eigenvalue recursion over rotated returns Y; returns the T x p path.
 
-    lam[0] comes from the initialization scheme; for t >= 1,
-    lam[i, t] = w_i + sum_j a_ij y_{j,t-1}^2 + b_i lam[i, t-1].
+    lam[0] is ``init`` when given (a strictly positive p-vector), else the
+    unconditional eigenvalues (the intercepts when those do not exist); for
+    t >= 1, lam[i, t] = w_i + sum_j a_ij y_{j,t-1}^2 + b_i lam[i, t-1].
     """
     Y = np.atleast_2d(np.asarray(Y, dtype=float))
     if not np.all(np.isfinite(Y)):
         t_bad = int(np.flatnonzero(~np.all(np.isfinite(Y), axis=1))[0])
         raise ValidationError(f"non-finite rotated return at t={t_bad}")
-    scheme, lam0 = _resolve_init(spec, Y, init)
+    if init is None:
+        lam0 = spec.lam if spec.lam is not None else spec.W
+    else:
+        lam0 = np.atleast_1d(np.asarray(init, dtype=float))
+        if lam0.shape != (spec.p,) or (lam0 <= 0).any():
+            raise ValidationError("fixed initialization must be a strictly positive p-vector")
     T, p = Y.shape
     drive = Y[:-1] ** 2 @ spec.dynamics.A.T  # row t-1 feeds lam_t
     lam_t = np.empty((T, p))
@@ -234,7 +209,7 @@ def filter_eigenvalues(
     if not np.all(np.isfinite(lam_t)):
         t_bad = int(np.flatnonzero(~np.all(np.isfinite(lam_t), axis=1))[0])
         raise ValidationError(f"eigenvalue recursion became non-finite at t={t_bad}")
-    return EigenvaluePath(lam_t=lam_t, init_scheme=scheme, init_value=lam0)
+    return lam_t
 
 
 @single_threaded

@@ -111,12 +111,16 @@ class VaRBacktestReport:
 
 
 @single_threaded
-def standardized_residuals(fit: ModelFit, X, init="unconditional") -> ResidualPanel:
-    """Invert the fitted volatility filter: Z_t = diag(lam_t)^(-1/2) V'X_t."""
+def standardized_residuals(fit: ModelFit, X,
+                           init: Optional[np.ndarray] = None) -> ResidualPanel:
+    """Invert the fitted volatility filter: Z_t = diag(lam_t)^(-1/2) V'X_t.
+
+    ``init`` is the filter's starting eigenvalues, as in ``filter_eigenvalues``.
+    """
     Xv = _panel_values(X)
     Y = rotate_returns(Xv, fit.target.V)
-    path = filter_eigenvalues(fit.spec(), Y, init=init)
-    Z = Y / np.sqrt(path.lam_t)
+    lam_t = filter_eigenvalues(fit.spec(), Y, init=init)
+    Z = Y / np.sqrt(lam_t)
     return ResidualPanel(Z=Z, column_variances=Z.var(axis=0))
 
 
@@ -162,13 +166,13 @@ def fhs_cumulative_returns(
         raise ValidationError("weights must be finite")
     A, b, W = fit.dynamics.A, fit.dynamics.b, fit.W
     Y = rotate_returns(Xv, V)
-    path = filter_eigenvalues(fit.spec(), Y)
+    lam_t = filter_eigenvalues(fit.spec(), Y)
     if residuals is None:
-        Z = Y / np.sqrt(path.lam_t)
+        Z = Y / np.sqrt(lam_t)
     else:
         Z = np.atleast_2d(np.asarray(residuals, dtype=float))
     # one step ahead of the sample end is deterministic
-    lam_next = W + A @ (Y[-1] ** 2) + b * path.lam_t[-1]
+    lam_next = W + A @ (Y[-1] ** 2) + b * lam_t[-1]
     rng = np.random.default_rng(rng_seed)
     idx = rng.integers(0, Z.shape[0], size=(h, n_draws))
     Q = V.T @ project

@@ -68,6 +68,19 @@ class TestEstimate:
         assert fit["method"] == "joint-QMLE"
         assert fit["diag_a"] is True
 
+    def test_qmle_standard_errors_unavailable(self, tmp_path):
+        # the two-step sandwich does not apply to the joint fit
+        out = tmp_path / "o"
+        assert run(["simulate", "--dgp", "case1", "--T", "3000", "--seed", "4",
+                    "--out", out]) == 0
+        assert run(["estimate", "--input", out / "panel.csv", "--method", "qmle",
+                    "--out", out]) == 0
+        fit = json.loads((out / "fit.json").read_text())
+        assert [e["equation"] for e in fit["standard_errors"]] == [0, 1]
+        for entry in fit["standard_errors"]:
+            assert "joint-QMLE" in entry["unavailable"]
+            assert "w_se" not in entry
+
     def test_missing_input_is_validation_error(self, tmp_path):
         assert run(["estimate", "--out", tmp_path]) == 2
         assert run(["estimate", "--input", tmp_path / "nope.csv",
@@ -89,6 +102,7 @@ class TestForecast:
         assert fc["portfolios"][0]["var"] > 0
         # one quantile convention in the report: the 5% quantile is -VaR(0.05)
         assert fc["portfolios"][0]["quantiles"]["q05"] == -fc["portfolios"][0]["var"]
+        assert fc["blas_threads"] == {name: 1 for name in _blas.thread_counts()}
 
     def test_reproducible(self, sim_dir, tmp_path):
         a, b = tmp_path / "a", tmp_path / "b"

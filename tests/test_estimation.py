@@ -12,7 +12,6 @@ from eigengarch import (
     equation_score,
     fit_equation,
     fit_joint_qmle,
-    fit_rotation_first_step,
     fit_spectral_targeting,
     givens_product,
     rotate_returns,
@@ -181,7 +180,7 @@ class TestAdjointGradients:
             if not diag_a:
                 kappa[:p] = rng.uniform(0.0, 0.002, p)
             kappa[i], kappa[p] = 0.06, 0.85
-            value, grad, feasible = _nll_grad_core(kappa, lam_vec, Y2, i, "unconditional")
+            value, grad, feasible = _nll_grad_core(kappa, lam_vec, Y2, i)
             assert feasible
             lam = _lam_path(Y2, lam_vec, i, kappa[:p], kappa[p], lam_vec[i])
             weights = (1.0 - Y2[:, i] / lam) / lam
@@ -203,7 +202,7 @@ class TestAdjointGradients:
                 block[i] = 0.07
             off = p + n_phi + i * kappa_len
             theta[off:off + kappa_len] = block
-        value, grad, feasible = _joint_nll_grad(theta, X, p, diag_a, 1e-10)
+        value, grad, feasible = _joint_nll_grad(theta, X, p, diag_a)
         assert feasible
         fd = np.empty(n_theta)
         for k in range(n_theta):
@@ -211,8 +210,8 @@ class TestAdjointGradients:
             up, dn = theta.copy(), theta.copy()
             up[k] += h
             dn[k] -= h
-            fd[k] = (_joint_nll_grad(up, X, p, diag_a, 1e-10)[0]
-                     - _joint_nll_grad(dn, X, p, diag_a, 1e-10)[0]) / (2 * h)
+            fd[k] = (_joint_nll_grad(up, X, p, diag_a)[0]
+                     - _joint_nll_grad(dn, X, p, diag_a)[0]) / (2 * h)
         np.testing.assert_allclose(grad, fd, rtol=1e-6, atol=1e-8 * np.abs(fd).max())
 
 
@@ -249,20 +248,46 @@ class TestFitEquation:
         X = simulate_path(spec, T=5000, burn_in=500, rng_seed=3)
         fit = fit_spectral_targeting(X)
         Y = rotate_returns(X, fit.target.V)
-        cfg = OptimizerConfig(starts=[fit.kappas[0]], multi_start=1)
-        eq, diag = fit_equation(Y, fit.target, 0, cfg)
-        assert np.abs(eq.kappa - fit.kappas[0]).max() < cfg.param_tol
+        cfg = OptimizerConfig(starts=[fit.kappas[0]])
+        kappa, diag = fit_equation(Y, fit.target, 0, cfg)
+        assert np.abs(kappa - fit.kappas[0]).max() < 1e-7
+        assert len(diag.start_traces) == 1
 
     def test_all_starts_failing_raises(self):
         from eigengarch import ConvergenceError
         rng = np.random.default_rng(1)
         Y = rng.standard_normal((200, 1))
         lam = np.array([1.0])
-        cfg = OptimizerConfig(max_iterations=1, starts=[np.array([0.1, 0.5])],
-                              multi_start=1)
+        cfg = OptimizerConfig(max_iterations=1, starts=[np.array([0.1, 0.5])])
         with pytest.raises(ConvergenceError) as exc:
             fit_equation(Y, lam, 0, cfg)
         assert exc.value.traces
+
+    def test_every_start_is_run(self):
+        rng = np.random.default_rng(2)
+        Y = rng.standard_normal((300, 2))
+        lam = np.array([1.0, 1.0])
+        _, diag = fit_equation(Y, lam, 1)
+        assert len(diag.start_traces) == 3
+        starts = [np.array([0.0, a, 0.5]) for a in (0.05, 0.1, 0.2, 0.3)]
+        _, diag = fit_equation(Y, lam, 1, OptimizerConfig(starts=starts))
+        assert len(diag.start_traces) == 4
+
+    @pytest.mark.parametrize("i", [-1, 2])
+    def test_rejects_out_of_range_equation(self, i):
+        rng = np.random.default_rng(3)
+        Y = rng.standard_normal((200, 2))
+        lam = np.array([1.0, 1.0])
+        with pytest.raises(ValidationError, match="equation index"):
+            fit_equation(Y, lam, i, diag_a=True)
+        with pytest.raises(ValidationError, match="equation index"):
+            equation_nll(np.full(3, 0.1), lam, Y, i)
+
+    def test_config_validation(self):
+        with pytest.raises(ValidationError):
+            OptimizerConfig(max_iterations=0)
+        with pytest.raises(ValidationError):
+            OptimizerConfig(starts=[])
 
 
 class TestFitSpectralTargeting:
@@ -328,7 +353,7 @@ class TestJointQMLE:
         A_r = ste.kappas[:, :p][np.ix_(order, order)]
         b_r = ste.kappas[order, p]
         theta = np.concatenate([lam_r, phi, *[np.r_[A_r[i], b_r[i]] for i in range(p)]])
-        val, _, feas = _joint_nll_grad(theta, X, p, False, 1e-10)
+        val, _, feas = _joint_nll_grad(theta, X, p, False)
         assert feas
         assert val == pytest.approx(ste.total_nll, abs=1e-10)
 
@@ -352,41 +377,6 @@ class TestJointQMLE:
         for j in range(2):
             col = fit.target.V[:, j]
             assert col[np.abs(col) > 1e-12][0] > 0
-
-
-class TestRotationFirstStep:
-    def test_diagonal_data_recovers_diagonal(self):
-        lam = np.array([0.4, 1.3])
-        dyn = DynamicsParams(A=np.zeros((2, 2)), b=np.zeros(2))
-        spec = ModelSpec.from_intercepts(np.eye(2), lam, dyn)
-        X = simulate_path(spec, T=20_000, burn_in=10, rng_seed=31)
-        target = fit_rotation_first_step(X, phi_lower=0.0)
-        H = sample_covariance(X).values
-        np.testing.assert_allclose(np.sort(target.lam), np.sort(np.diag(H)), rtol=0.02)
-        np.testing.assert_allclose(np.abs(target.V), np.eye(2), atol=0.05)
-
-    def test_agrees_with_moment_eigenvalues(self):
-        X = case1_panel(seed=19)
-        moment = fit_spectral_targeting(X).target
-        rot = fit_rotation_first_step(X)
-        np.testing.assert_allclose(rot.lam, moment.lam, rtol=0.05)
-
-    def test_moment_estimator_nearly_optimal(self):
-        # the static Gaussian cost depends on (lam, V) only; evaluate it
-        # directly so neither ordering nor column signs matter
-        def static_cost(lam, V, H):
-            m = np.diag(V.T @ H @ V)
-            return float(np.sum(np.log(lam) + m / lam))
-
-        X = case1_panel(T=5000, seed=23)
-        H = sample_covariance(X).values
-        moment = fit_spectral_targeting(X).target
-        rot = fit_rotation_first_step(X)
-        cost_m = static_cost(moment.lam, moment.V, H)
-        cost_r = static_cost(rot.lam, rot.V, H)
-        assert cost_m >= cost_r - 1e-8
-        # two-sided sanity: the moment basis is the unrestricted optimum
-        assert cost_r >= cost_m - 1e-6
 
 
 class TestConsistencyScaling:
@@ -439,10 +429,10 @@ class TestLikelihoodDecomposition:
             spec = diagonal_benchmark_spec(p)
             X = simulate_path(spec, T=300, burn_in=100, rng_seed=int(p))
             fit = fit_spectral_targeting(X)
-            V, lam_t = fit.target.V, None
+            V = fit.target.V
             from eigengarch import filter_eigenvalues
             Y = rotate_returns(X, V)
-            lam_path = filter_eigenvalues(fit.spec(), Y).lam_t
+            lam_path = filter_eigenvalues(fit.spec(), Y)
             total = 0.0
             for t in range(X.shape[0]):
                 H_t = (V * lam_path[t]) @ V.T

@@ -9,7 +9,6 @@ from eigengarch import (
     run_density_study,
     run_relative_efficiency,
 )
-from eigengarch.estimation import joint_fit_invocations
 from eigengarch.experiments import (
     density_case_spec,
     diagonal_benchmark_spec,
@@ -63,12 +62,16 @@ class TestRelativeEfficiencyStatistic:
 
 
 class TestRunRelativeEfficiency:
-    def test_ste_only_never_runs_joint_optimizer(self):
-        before = joint_fit_invocations()
+    def test_ste_only_never_runs_joint_optimizer(self, monkeypatch):
+        from eigengarch import experiments
+
+        def refuse(*args, **kwargs):
+            pytest.fail("the joint QMLE ran in an STE-only study")
+
+        monkeypatch.setattr(experiments, "fit_joint_qmle", refuse)
         cfg = ExperimentConfig(dimensions=[2], n_replications=3, T=400,
                                seed=1, estimators=("ste",))
         rows = run_relative_efficiency(cfg)
-        assert joint_fit_invocations() == before
         assert rows[0].re is None and rows[0].time_qmle is None
         assert rows[0].time_ste > 0
 

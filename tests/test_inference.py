@@ -7,6 +7,8 @@ from eigengarch import (
     DynamicsParams,
     InferenceError,
     ModelSpec,
+    ValidationError,
+    fit_joint_qmle,
     fit_spectral_targeting,
     intercept_delta,
     sandwich_blocks,
@@ -226,6 +228,21 @@ class TestSandwichBlocks:
         )
         with pytest.raises(InferenceError, match="near-repeated"):
             sandwich_blocks(bad, X, 0)
+
+    def test_refuses_joint_qmle_fit(self):
+        # the joint fit keeps one optimizer record, so no per-equation check
+        # could see its boundary coefficients
+        _, X = interior_fit(T=1500, seed=4)
+        fit = fit_joint_qmle(X, diag_a=True)
+        for i in range(fit.p):
+            with pytest.raises(InferenceError, match="joint-QMLE"):
+                sandwich_blocks(fit, X, i)
+
+    @pytest.mark.parametrize("i", [-1, 2])
+    def test_rejects_out_of_range_equation(self, i):
+        fit, X = interior_fit(T=2000, seed=13)
+        with pytest.raises(ValidationError, match="equation index"):
+            sandwich_blocks(fit, X, i)
 
 
 class TestSandwichSigma:

@@ -102,14 +102,14 @@ class TestFilterEigenvalues:
                          lam=np.array([1.5 / 0.67]))
         Y = np.array([[2.0], [0.0]])
         path = filter_eigenvalues(spec, Y)
-        assert path.lam_t[1, 0] == pytest.approx(1.5 + 0.33 * 4.0, abs=1e-14)
+        assert path[1, 0] == pytest.approx(1.5 + 0.33 * 4.0, abs=1e-14)
 
     def test_zero_shocks_flat(self):
         dyn = DynamicsParams(A=np.diag([0.3, 0.2]), b=np.zeros(2))
         W = np.array([0.5, 0.8])
         spec = ModelSpec.from_intercepts(np.eye(2), W, dyn)
         path = filter_eigenvalues(spec, np.zeros((20, 2)))
-        np.testing.assert_allclose(path.lam_t[1:], np.tile(W, (19, 1)), rtol=1e-14)
+        np.testing.assert_allclose(path[1:], np.tile(W, (19, 1)), rtol=1e-14)
 
     def test_matches_double_loop_recursion(self):
         rng = np.random.default_rng(2)
@@ -124,15 +124,24 @@ class TestFilterEigenvalues:
         expected[0] = lam0
         for t in range(1, 100):
             expected[t] = w + a * Y[t - 1, 0] ** 2 + b * expected[t - 1]
-        np.testing.assert_allclose(path.lam_t[:, 0], expected, rtol=1e-14)
+        np.testing.assert_allclose(path[:, 0], expected, rtol=1e-14)
 
     def test_init_schemes(self):
         dyn = DynamicsParams(A=[[0.1]], b=[0.5])
         spec = ModelSpec.from_intercepts(np.eye(1), [0.4], dyn)
         Y = np.ones((10, 1))
-        assert filter_eigenvalues(spec, Y, "unconditional").lam_t[0, 0] == spec.lam[0]
-        assert filter_eigenvalues(spec, Y, np.array([7.0])).lam_t[0, 0] == 7.0
-        assert filter_eigenvalues(spec, Y, "sample-variance").lam_t[0, 0] == 1.0
+        path = filter_eigenvalues(spec, Y)
+        assert isinstance(path, np.ndarray) and path.shape == (10, 1)
+        assert path[0, 0] == spec.lam[0]
+        assert filter_eigenvalues(spec, Y, np.array([7.0]))[0, 0] == 7.0
+        for bad in (np.array([0.0]), np.array([1.0, 1.0])):
+            with pytest.raises(ValidationError, match="fixed initialization"):
+                filter_eigenvalues(spec, Y, bad)
+
+    def test_nonstationary_spec_starts_at_intercepts(self):
+        spec = density_case_spec(3)
+        path = filter_eigenvalues(spec, np.ones((5, 2)))
+        np.testing.assert_array_equal(path[0], spec.W)
 
     def test_rejects_non_finite(self):
         dyn = DynamicsParams(A=[[0.1]], b=[0.5])
@@ -179,7 +188,7 @@ class TestSimulatePath:
             spec, T=500, burn_in=200, rng_seed=12, return_internals=True
         )
         filtered = filter_eigenvalues(spec, Y, init=lam_path[0])
-        np.testing.assert_allclose(filtered.lam_t, lam_path, rtol=1e-12)
+        np.testing.assert_allclose(filtered, lam_path, rtol=1e-12)
 
     def test_filter_matches_simulator_from_unconditional_start(self):
         # with no burn-in the simulator starts exactly at the unconditional
@@ -188,9 +197,9 @@ class TestSimulatePath:
         X, Y, lam_path, Z = simulate_path(
             spec, T=300, burn_in=0, rng_seed=14, return_internals=True
         )
-        filtered = filter_eigenvalues(spec, Y, init="unconditional")
-        np.testing.assert_array_equal(filtered.lam_t[0], spec.lam)
-        np.testing.assert_allclose(filtered.lam_t, lam_path, rtol=1e-12)
+        filtered = filter_eigenvalues(spec, Y)
+        np.testing.assert_array_equal(filtered[0], spec.lam)
+        np.testing.assert_allclose(filtered, lam_path, rtol=1e-12)
 
     def test_nonstationary_refused_without_flag(self):
         spec = density_case_spec(3)

@@ -155,7 +155,7 @@ def asset_return_draws(fit, X, h, n_draws, rng_seed, Z=None):
     the h steps and rotated back to assets, with no projection."""
     V, A, b = fit.target.V, fit.dynamics.A, fit.dynamics.b
     Y = X @ V
-    lam_t = filter_eigenvalues(fit.spec(), Y).lam_t
+    lam_t = filter_eigenvalues(fit.spec(), Y)
     if Z is None:
         Z = Y / np.sqrt(lam_t)
     lam_next = fit.W + A @ Y[-1] ** 2 + b * lam_t[-1]

@@ -51,6 +51,9 @@ GRAD_TOL = 1e-9        # L-BFGS-B projected-gradient tolerance
 A_MAX = 1.0            # upper bound of every ARCH loading
 B_MAX = 1.0 - 1e-6     # upper bound of every persistence coefficient
 W_FLOOR_REL = 1e-10    # smallest feasible intercept, relative to its target
+# start schemes (own ARCH loading, other ARCH loadings, persistence): the
+# equation fits run all three, the joint QMLE the first two
+START_SCHEMES = ((0.05, 0.01, 0.85), (0.10, 0.0, 0.80), (0.02, 0.0, 0.90))
 
 
 @dataclass(frozen=True)
@@ -58,7 +61,8 @@ class OptimizerConfig:
     """Settings for the box-constrained quasi-Newton fits.
 
     ``starts`` replaces the three default equation starts with the given
-    kappa vectors, all of which are run.
+    kappa vectors, all of which are run. The joint QMLE reads only
+    ``max_iterations`` and refuses ``starts``.
     """
 
     max_iterations: int = 500
@@ -189,14 +193,15 @@ def _penalized(w: float, floor: float, lam_vec: np.ndarray, i: int):
 
     Zero influence at feasible points (the criterion stays exact there); in
     the infeasible region the value is huge with a gradient pointing back
-    toward feasibility.
+    toward feasibility. Returns the value, its kappa-gradient and its slope
+    in w, which carries the gradient to any other coordinate that moves w.
     """
     gap = floor - w
     value = PENALTY_BASE + PENALTY_SCALE * gap * gap
+    slope = -2.0 * PENALTY_SCALE * gap
     # dw/dkappa = (-lam_1, ..., -lam_p, -lam_i)
     dw = -np.concatenate([lam_vec, [lam_vec[i]]])
-    grad = -2.0 * PENALTY_SCALE * gap * dw
-    return value, grad
+    return value, slope * dw, slope
 
 
 def _nll_grad_core(kappa: np.ndarray, lam_vec: np.ndarray, Y2: np.ndarray, i: int):
@@ -209,7 +214,7 @@ def _nll_grad_core(kappa: np.ndarray, lam_vec: np.ndarray, Y2: np.ndarray, i: in
     floor = W_FLOOR_REL * lam_vec[i]
     w = (1.0 - b) * lam_vec[i] - float(a @ lam_vec)
     if w <= floor or b >= 1.0 or (a < 0).any() or b < 0:
-        value, grad = _penalized(w, floor, lam_vec, i)
+        value, grad, _ = _penalized(w, floor, lam_vec, i)
         return value, grad, False
     value, grad, _, _ = _equation_kernel(kappa, lam_vec, Y2, i, float(lam_vec[i]))
     return value, grad, True
@@ -344,16 +349,49 @@ def equation_cross_hessian(kappa, target: SpectralTarget, X: np.ndarray,
     return K / T
 
 
-def _default_starts(p: int, i: int, cfg: OptimizerConfig) -> list[np.ndarray]:
-    if cfg.starts is not None:
-        return [np.asarray(s, dtype=float) for s in cfg.starts]
-    starts = []
-    for own, off, b in [(0.05, 0.01, 0.85), (0.10, 0.0, 0.80), (0.02, 0.0, 0.90)]:
-        kappa = np.full(p + 1, off)
-        kappa[i] = own
-        kappa[p] = b
-        starts.append(kappa)
-    return starts
+def _free_mask(p: int, diag_a: bool, fit_b: bool = True) -> np.ndarray:
+    """p x (p+1) mask of the free coefficients; row i holds equation i's kappa.
+
+    The joint QMLE packs the masked coefficients row by row after (lam, phi).
+    """
+    mask = np.eye(p, p + 1, dtype=bool) if diag_a else np.ones((p, p + 1), dtype=bool)
+    mask[:, p] = fit_b
+    return mask
+
+
+def _start_kappas(p: int, own: float, off: float, b: float) -> np.ndarray:
+    """p x (p+1) start coefficients of one scheme in ``START_SCHEMES``."""
+    kappas = np.full((p, p + 1), off)
+    kappas[np.arange(p), np.arange(p)] = own
+    kappas[:, p] = b
+    return kappas
+
+
+def _bounds(cols, p: int) -> list:
+    """Box of the coefficients in the given kappa columns (column p is b)."""
+    return [(0.0, B_MAX) if col == p else (0.0, A_MAX) for col in cols]
+
+
+def _run_starts(objective, starts, bounds, max_iterations: int):
+    """One L-BFGS-B run from every start.
+
+    Returns the optimizer results and one trace record per start; picking
+    the winner is left to the caller.
+    """
+    results, traces = [], []
+    for x0 in starts:
+        res = minimize(objective, x0, jac=True, method="L-BFGS-B", bounds=bounds,
+                       options={"maxiter": max_iterations,
+                                "gtol": GRAD_TOL, "ftol": 1e-14})
+        results.append(res)
+        traces.append({
+            "start": x0.copy(),
+            "success": bool(res.success),
+            "nll": float(res.fun),
+            "iterations": int(res.nit),
+            "message": str(res.message),
+        })
+    return results, traces
 
 
 def _repair_start(kappa: np.ndarray, lam_vec: np.ndarray, i: int,
@@ -377,7 +415,8 @@ def fit_equation(Y: np.ndarray, gamma_hat, i: int,
 
     Box-constrained L-BFGS-B with the analytic score and multi-start; the
     implied-intercept constraint is enforced through a smooth pull-back that
-    leaves the criterion untouched at feasible points.
+    leaves the criterion untouched at feasible points. Each start trace
+    records the start in the free coordinates.
 
     Returns (kappa, EquationDiagnostics), kappa = [a_i1, ..., a_ip, b_i].
     """
@@ -387,15 +426,9 @@ def fit_equation(Y: np.ndarray, gamma_hat, i: int,
     p = lam_vec.shape[0]
     _check_equation_index(i, p)
     floor = W_FLOOR_REL * lam_vec[i]
-
-    if diag_a:
-        free = [i, p] if fit_b else [i]
-    else:
-        free = list(range(p + 1)) if fit_b else list(range(p))
-
-    bounds = [
-        (0.0, B_MAX) if idx == p else (0.0, A_MAX) for idx in free
-    ]
+    keep = _free_mask(p, diag_a, fit_b)[i]
+    free = np.flatnonzero(keep)
+    bounds = _bounds(free, p)
 
     def objective(free_vals):
         kappa = np.zeros(p + 1)
@@ -403,45 +436,20 @@ def fit_equation(Y: np.ndarray, gamma_hat, i: int,
         value, grad, _ = _nll_grad_core(kappa, lam_vec, Y2, i)
         return value, grad[free]
 
-    traces = []
-    best = None
-    for start_full in _default_starts(p, i, cfg):
-        start_full = start_full.copy()
-        if not fit_b:
-            start_full[p] = 0.0
-        if diag_a:
-            keep = np.zeros(p + 1, dtype=bool)
-            keep[free] = True
-            start_full[~keep] = 0.0
-        start_full = _repair_start(start_full, lam_vec, i, floor)
-        res = minimize(
-            objective,
-            start_full[free],
-            jac=True,
-            method="L-BFGS-B",
-            bounds=bounds,
-            options={
-                "maxiter": cfg.max_iterations,
-                "gtol": GRAD_TOL,
-                "ftol": 1e-14,
-            },
-        )
-        traces.append(
-            {
-                "start": start_full.copy(),
-                "success": bool(res.success),
-                "nll": float(res.fun),
-                "iterations": int(res.nit),
-                "message": str(res.message),
-            }
-        )
-        if res.success and (best is None or res.fun < best.fun):
-            best = res
-    if best is None:
+    if cfg.starts is not None:
+        starts = [np.asarray(s, dtype=float) for s in cfg.starts]
+    else:
+        starts = [_start_kappas(p, *scheme)[i] for scheme in START_SCHEMES]
+    starts = [_repair_start(np.where(keep, s, 0.0), lam_vec, i, floor)[free]
+              for s in starts]
+    results, traces = _run_starts(objective, starts, bounds, cfg.max_iterations)
+    converged = [res for res in results if res.success]
+    if not converged:
         raise ConvergenceError(
             f"all {len(traces)} starts failed to converge for equation {i}",
             traces=traces,
         )
+    best = min(converged, key=lambda res: res.fun)
     kappa = np.zeros(p + 1)
     kappa[free] = best.x
     active = []
@@ -471,15 +479,24 @@ def _panel_values(X) -> np.ndarray:
     return np.atleast_2d(np.asarray(X, dtype=float))
 
 
-def _check_panel(X: np.ndarray, labels=None):
-    T, p = X.shape
+def _checked_panel(X) -> np.ndarray:
+    """Panel values, refused unless T > p and no column is constant."""
+    Xv = _panel_values(X)
+    T, p = Xv.shape
     if T <= p:
         raise ValidationError(f"need T > p, got T={T}, p={p}")
-    spans = np.ptp(X, axis=0)
-    flat = np.flatnonzero(spans == 0.0)
+    flat = np.flatnonzero(np.ptp(Xv, axis=0) == 0.0)
     if flat.size:
+        labels = X.labels if isinstance(X, ReturnPanel) else None
         names = [labels[j] if labels else f"column {j}" for j in flat]
         raise ValidationError(f"constant column(s): {names}")
+    return Xv
+
+
+def _intercepts(kappas: np.ndarray, lam: np.ndarray) -> np.ndarray:
+    """Implied intercepts w_i = (1 - b_i) lam_i - sum_j a_ij lam_j."""
+    p = lam.shape[0]
+    return np.array([(1.0 - k[p]) * lam[i] - k[:p] @ lam for i, k in enumerate(kappas)])
 
 
 @single_threaded
@@ -491,30 +508,19 @@ def fit_spectral_targeting(X, cfg: OptimizerConfig = DEFAULT_CONFIG,
     eigendecomposition; step two fits each rotated return separately (the
     equation criteria are orthogonal given the targets).
     """
-    labels = X.labels if isinstance(X, ReturnPanel) else None
-    Xv = _panel_values(X)
-    _check_panel(Xv, labels)
+    Xv = _checked_panel(X)
     target = eigen_sym(sample_covariance(Xv))
     Y = rotate_returns(Xv, target.V)
-    p = Xv.shape[1]
-
     results = [fit_equation(Y, target, i, cfg, diag_a=diag_a, fit_b=fit_b)
-               for i in range(p)]
+               for i in range(Xv.shape[1])]
 
     kappas = np.vstack([kappa for kappa, _ in results])
     diags = [d for _, d in results]
-    W = np.array(
-        [
-            (1.0 - kappas[i, p]) * target.lam[i] - kappas[i, :p] @ target.lam
-            for i in range(p)
-        ]
-    )
-    nlls = np.array([d.nll for d in diags])
     return ModelFit(
         target=target,
         kappas=kappas,
-        W=W,
-        equation_nlls=nlls,
+        W=_intercepts(kappas, target.lam),
+        equation_nlls=np.array([d.nll for d in diags]),
         method="STE",
         diag_a=diag_a,
         diagnostics=diags,
@@ -560,76 +566,57 @@ def _match_angles(V_hat: np.ndarray, lower: float, upper: float):
     return best.x, float(best.fun)
 
 
-def _joint_layout(p: int, diag_a: bool):
-    n_phi = p * (p - 1) // 2
-    kappa_len = 2 if diag_a else p + 1
-    return n_phi, kappa_len, p + n_phi + p * kappa_len
-
-
 def _joint_nll_grad(theta: np.ndarray, X: np.ndarray, p: int, diag_a: bool):
     """Joint criterion with the analytic gradient wrt (lam, phi, kappa).
 
-    Each equation's adjoint r gives its kappa block, its lam block
-    dw * sum r[1:] + e_i r_0 (the path starts at lam_i), and its share of
-    dL/dY2, which feeds the angle block through G = X'(2 Y o dL/dY2):
+    theta = [lam, phi, kappas[_free_mask(p, diag_a)]]. Each equation's
+    adjoint r gives its kappa block, its lam block dw * sum r[1:] + e_i r_0
+    (the path starts at lam_i), and its share of dL/dY2, which feeds the
+    angle block through G = X'(2 Y o dL/dY2):
     dL/dphi_m = sum_{k,j} dV[m, k, j] G[k, j].
+    An infeasible equation contributes the pull-back of ``_penalized``.
     """
-    n_phi, kappa_len, _ = _joint_layout(p, diag_a)
+    n_phi = p * (p - 1) // 2
+    mask = _free_mask(p, diag_a)
     T = X.shape[0]
     lam_vec = theta[:p]
     phi = theta[p:p + n_phi]
+    kappas = np.zeros((p, p + 1))
+    kappas[mask] = theta[p + n_phi:]
     grad = np.zeros_like(theta)
+    g_kappas = np.zeros((p, p + 1))
 
     V, dV = givens_product_derivatives(phi, p)
     Y = X @ V
     Y2 = Y**2
-    A = np.zeros((p, p))      # row i: the ARCH loadings of equation i
     R = np.zeros((T - 1, p))  # column i: r[1:] of equation i
     dY2 = np.zeros((T, p))    # dL/dY2 through each y2_{i,t} / lam_{i,t} term
 
     total = 0.0
     feasible = True
     for i in range(p):
-        off = p + n_phi + i * kappa_len
-        block = theta[off:off + kappa_len]
-        a = np.zeros(p)
-        if diag_a:
-            a[i], b = block[0], float(block[1])
-        else:
-            a, b = block[:p].copy(), float(block[p])
-        floor = W_FLOOR_REL * max(lam_vec[i], 1e-12)
+        a, b = kappas[i, :p], float(kappas[i, p])
+        floor = W_FLOOR_REL * lam_vec[i]
         w = (1.0 - b) * lam_vec[i] - float(a @ lam_vec)
         # dw/dlam_k = (1-b) delta_ik - a_k ; dw/da_j = -lam_j ; dw/db = -lam_i
         dw = -a
         dw[i] += 1.0 - b
         if w <= floor:
             feasible = False
-            gap = floor - w
-            total += PENALTY_BASE + PENALTY_SCALE * gap * gap
-            pull = 2.0 * PENALTY_SCALE * gap
-            grad[:p] += -pull * dw
-            if diag_a:
-                grad[off] += pull * lam_vec[i]
-                grad[off + 1] += pull * lam_vec[i]
-            else:
-                grad[off:off + p] += pull * lam_vec
-                grad[off + p] += pull * lam_vec[i]
+            value, g_kappas[i], slope = _penalized(w, floor, lam_vec, i)
+            total += value
+            grad[:p] += slope * dw
             continue
-        value, g_kappa, lam, r = _equation_kernel(np.r_[a, b], lam_vec, Y2, i,
-                                                  float(lam_vec[i]))
+        value, g_kappas[i], lam, r = _equation_kernel(kappas[i], lam_vec, Y2, i,
+                                                      float(lam_vec[i]))
         total += value
-        if diag_a:
-            grad[off] += g_kappa[i]
-            grad[off + 1] += g_kappa[p]
-        else:
-            grad[off:off + p + 1] += g_kappa
         grad[:p] += dw * r[1:].sum()
         grad[i] += r[0]
-        A[i] = a
         R[:, i] = r[1:]
         dY2[:, i] = 1.0 / (lam * T)
+    grad[p + n_phi:] = g_kappas[mask]
     if n_phi:
-        dY2[:-1] += R @ A
+        dY2[:-1] += R @ kappas[:, :p]
         G = X.T @ (2.0 * Y * dY2)
         grad[p:p + n_phi] = np.tensordot(dV, G, axes=([1, 2], [0, 1]))
     return total, grad, feasible
@@ -643,14 +630,18 @@ def fit_joint_qmle(X, cfg: OptimizerConfig = DEFAULT_CONFIG,
     The eigenvector matrix is parameterized by plane rotations with angles
     constrained to (0, pi/2) for identification; after optimization the
     result is renormalized to the sorted/sign-fixed convention so it is
-    directly comparable with the two-step fit. Non-convergence is reported
-    through the ``converged`` flag and per-start traces, never hidden.
+    directly comparable with the two-step fit. The fit runs the first two
+    ``START_SCHEMES`` and reads only ``cfg.max_iterations``; a config with
+    ``starts`` is refused. Non-convergence is reported through the
+    ``converged`` flag and per-start traces, never hidden.
     """
-    labels = X.labels if isinstance(X, ReturnPanel) else None
-    Xv = _panel_values(X)
-    _check_panel(Xv, labels)
-    T, p = Xv.shape
-    n_phi, kappa_len, n_theta = _joint_layout(p, diag_a)
+    if cfg.starts is not None:
+        raise ValidationError("the joint QMLE runs its own starts; "
+                              "cfg.starts must be None")
+    Xv = _checked_panel(X)
+    p = Xv.shape[1]
+    n_phi = p * (p - 1) // 2
+    mask = _free_mask(p, diag_a)
 
     H = sample_covariance(Xv)
     moment = eigen_sym(H)
@@ -660,80 +651,34 @@ def fit_joint_qmle(X, cfg: OptimizerConfig = DEFAULT_CONFIG,
     # need not be the sorted one; try both orderings of the moment basis and
     # keep the better branch representative. lam starts are always read off
     # the rotated diagonal so the association with the angles is consistent.
-    candidates = []
-    for Vcand in (moment.V, moment.V[:, ::-1]):
-        phi_c, resid = _match_angles(Vcand, lo, hi)
-        candidates.append((resid, phi_c))
-    candidates.sort(key=lambda c: c[0])
-    phi0 = candidates[0][1]
+    phi0, _ = min((_match_angles(Vc, lo, hi) for Vc in (moment.V, moment.V[:, ::-1])),
+                  key=lambda match: match[1])
     lam0 = np.einsum("ji,jk,ki->i", givens_product(phi0, p), H.values,
                      givens_product(phi0, p)) if n_phi else moment.lam.copy()
 
-    starts = []
-    for own, off, b in [(0.05, 0.01, 0.85), (0.10, 0.0, 0.80)]:
-        theta = np.empty(n_theta)
-        theta[:p] = lam0
-        theta[p:p + n_phi] = phi0
-        for i in range(p):
-            base = p + n_phi + i * kappa_len
-            if diag_a:
-                theta[base] = own
-                theta[base + 1] = b
-            else:
-                theta[base:base + p] = off
-                theta[base + i] = own
-                theta[base + p] = b
-        starts.append(theta)
-
-    bounds = [(1e-8, None)] * p + [(lo, hi)] * n_phi
-    for _ in range(p):
-        if diag_a:
-            bounds += [(0.0, A_MAX), (0.0, B_MAX)]
-        else:
-            bounds += [(0.0, A_MAX)] * p + [(0.0, B_MAX)]
+    starts = [np.concatenate([lam0, phi0, _start_kappas(p, *scheme)[mask]])
+              for scheme in START_SCHEMES[:2]]
+    bounds = ([(1e-8, None)] * p + [(lo, hi)] * n_phi
+              + _bounds(np.nonzero(mask)[1], p))
 
     def objective(theta):
         value, grad, _ = _joint_nll_grad(theta, Xv, p, diag_a)
         return value, grad
 
-    traces = []
-    best = None
-    for theta0 in starts:
-        res = minimize(objective, theta0, jac=True, method="L-BFGS-B",
-                       bounds=bounds,
-                       options={"maxiter": cfg.max_iterations,
-                                "gtol": GRAD_TOL, "ftol": 1e-14})
-        traces.append({
-            "success": bool(res.success),
-            "nll": float(res.fun),
-            "iterations": int(res.nit),
-            "message": str(res.message),
-        })
-        if best is None or res.fun < best.fun:
-            best = res
-
-    theta = best.x
-    lam_vec = theta[:p].copy()
-    phi = theta[p:p + n_phi].copy()
+    results, traces = _run_starts(objective, starts, bounds, cfg.max_iterations)
+    best = min(results, key=lambda res: res.fun)
+    lam_vec = best.x[:p]
+    phi = best.x[p:p + n_phi]
     V = givens_product(phi, p)
     kappas = np.zeros((p, p + 1))
-    for i in range(p):
-        base = p + n_phi + i * kappa_len
-        if diag_a:
-            kappas[i, i] = theta[base]
-            kappas[i, p] = theta[base + 1]
-        else:
-            kappas[i, :p] = theta[base:base + p]
-            kappas[i, p] = theta[base + p]
+    kappas[mask] = best.x[p + n_phi:]
 
     # renormalize to the identified convention: sort eigenvalues ascending,
     # sign-fix columns, permute equations and spill-over columns alike
     order = np.argsort(lam_vec, kind="stable")
     lam_sorted = lam_vec[order]
     V_sorted = _sign_fix(V[:, order])
-    A = kappas[:, :p][np.ix_(order, order)]
-    bvec = kappas[order, p]
-    kappas = np.hstack([A, bvec[:, None]])
+    kappas = np.hstack([kappas[:, :p][np.ix_(order, order)], kappas[order, p:]])
     target = SpectralTarget(lam=lam_sorted, V=V_sorted,
                             recon_residual=0.0, near_repeated=False)
     active = []
@@ -747,10 +692,6 @@ def fit_joint_qmle(X, cfg: OptimizerConfig = DEFAULT_CONFIG,
     nlls = np.array([
         equation_nll(kappas[i], lam_sorted, Ysorted, i) for i in range(p)
     ])
-    W = np.array([
-        (1.0 - kappas[i, p]) * lam_sorted[i] - kappas[i, :p] @ lam_sorted
-        for i in range(p)
-    ])
     diag = EquationDiagnostics(
         converged=bool(best.success),
         n_iterations=int(best.nit),
@@ -761,11 +702,10 @@ def fit_joint_qmle(X, cfg: OptimizerConfig = DEFAULT_CONFIG,
     return ModelFit(
         target=target,
         kappas=kappas,
-        W=W,
+        W=_intercepts(kappas, lam_sorted),
         equation_nlls=nlls,
         method="joint-QMLE",
         diag_a=diag_a,
         diagnostics=[diag],
         converged=bool(best.success),
     )
-

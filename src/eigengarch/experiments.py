@@ -89,6 +89,8 @@ def diagonal_benchmark_spec(p: int) -> ModelSpec:
     eigenvalues (p, p-1, ..., 1)/10, eigenvectors from plane rotations with
     every angle at 0.5.
     """
+    if p < 1:
+        raise ValidationError(f"dimension must be at least 1, got p={p}")
     lam = np.array([(p + 1 - i) / 10.0 for i in range(1, p + 1)])
     V = givens_product(np.full(p * (p - 1) // 2, 0.5), p)
     dyn = DynamicsParams(A=0.05 * np.eye(p), b=np.full(p, 0.85), diag_a=True)
@@ -297,7 +299,10 @@ def run_density_study(
     simulated dynamics) on ``N`` independent paths and reports centered and
     scaled replication draws, their Kolmogorov-Smirnov distances to the
     standard normal, and median absolute errors against the truth.
+    Needs ``N >= 2``: the standardized draws divide by a sample deviation.
     """
+    if N < 2:
+        raise ValidationError(f"need at least 2 replications, got N={N}")
     spec = density_case_spec(case)
     truth_w1 = float(spec.W[0])
     truth_a11 = float(spec.dynamics.A[0, 0])

@@ -12,6 +12,10 @@ Omega is the outer-product average of the stacked moment and score
 contributions. The first-step contributions use the eigenvalue and
 eigenvector perturbation identities, with the shifted pseudo-inverse
 carrying the eigenvector sensitivity.
+
+Only the kappa rows of M differ from the identity, so Sigma is assembled in
+blocks from G = -J^{-1} [K, I]: the static block is Omega's, the kappa rows
+are G Omega, and the kappa-kappa block is G Omega G'.
 """
 
 from __future__ import annotations
@@ -137,8 +141,14 @@ def sandwich_blocks(fit: ModelFit, X, i: int) -> SandwichBlocks:
 
 @single_threaded
 def sandwich_sigma(blocks: SandwichBlocks) -> EquationInference:
-    """Assemble Sigma = M Omega M' and the 1/sqrt(T) standard errors."""
-    p, e = blocks.p, blocks.e
+    """Assemble Sigma = M Omega M' and the 1/sqrt(T) standard errors.
+
+    Only the last p+1 rows of M differ from the identity; they are
+    G = -J^{-1} [K, I]. So Sigma is Omega with its kappa rows replaced by
+    G Omega, its kappa columns by the transpose, and its kappa-kappa block
+    by G Omega G', and the dense e x e matrix M is never formed.
+    """
+    p = blocks.p
     n_gamma = p + p * p
     cond = np.linalg.cond(blocks.J)
     if not np.isfinite(cond) or cond > J_CONDITION_LIMIT:
@@ -146,12 +156,14 @@ def sandwich_sigma(blocks: SandwichBlocks) -> EquationInference:
             f"equation Hessian is numerically singular (cond={cond:.3e})"
         )
     Jinv = np.linalg.inv(blocks.J)
-    M = np.zeros((e, e))
-    M[:n_gamma, :n_gamma] = np.eye(n_gamma)
-    M[n_gamma:, :n_gamma] = -Jinv @ blocks.K
-    M[n_gamma:, n_gamma:] = -Jinv
-    Sigma = M @ blocks.Omega @ M.T
-    Sigma = 0.5 * (Sigma + Sigma.T)
+    G = np.hstack([-Jinv @ blocks.K, -Jinv])
+    GO = G @ blocks.Omega
+    Skk = GO @ G.T
+    Sigma = blocks.Omega + blocks.Omega.T
+    Sigma *= 0.5
+    Sigma[n_gamma:, :n_gamma] = GO[:, :n_gamma]
+    Sigma[:n_gamma, n_gamma:] = GO[:, :n_gamma].T
+    Sigma[n_gamma:, n_gamma:] = 0.5 * (Skk + Skk.T)
     variances = np.clip(np.diag(Sigma), 0.0, None)
     se = np.sqrt(variances / blocks.T)
     return EquationInference(Sigma=Sigma, se=se, T=blocks.T, p=p)

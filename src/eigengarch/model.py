@@ -232,6 +232,10 @@ def simulate_path(
     Returns the T x p return matrix, or a (X, Y, lam_path, Z) tuple when
     ``return_internals`` is set.
     """
+    if T < 1 or burn_in < 0:
+        raise ValidationError(
+            f"need T >= 1 and burn_in >= 0, got T={T}, burn_in={burn_in}"
+        )
     if spec.lam is None and not allow_nonstationary:
         raise NonstationaryError(
             "rho(A+B) >= 1; pass allow_nonstationary=True to simulate anyway"

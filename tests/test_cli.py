@@ -47,6 +47,17 @@ class TestSimulate:
         assert run(["simulate", "--dgp", "case3", "--T", "50", "--seed", "1",
                     "--out", tmp_path]) == 0
 
+    @pytest.mark.parametrize("flags", [
+        ["--burn-in", "-3"],
+        ["--T", "-5"],
+        ["--T", "0"],
+        ["--dgp", "benchmark", "--p", "0"],
+    ])
+    def test_bad_input_is_2_and_writes_nothing(self, flags, tmp_path, capsys):
+        assert run(["simulate", *flags, "--out", tmp_path]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+        assert not (tmp_path / "panel.csv").exists()
+
 
 class TestEstimate:
     def test_fit_report(self, sim_dir, tmp_path):
@@ -224,6 +235,13 @@ class TestDensityStudy:
             rows = list(csv.reader(fh))
         assert rows[0] == ["w1", "a11", "w1_standardized", "a11_standardized"]
         assert len(rows) == 7
+
+    @pytest.mark.parametrize("n_reps", ["0", "1"])
+    def test_fewer_than_two_replications_is_2(self, n_reps, tmp_path, capsys):
+        assert run(["density-study", "--case", "1", "--n-reps", n_reps,
+                    "--T", "800", "--out", tmp_path]) == 2
+        assert "at least 2 replications" in capsys.readouterr().err
+        assert not (tmp_path / "density_case1.json").exists()
 
 
 class TestConfigFile:

@@ -18,8 +18,9 @@ from eigengarch import (
     sample_covariance,
     simulate_path,
 )
+from eigengarch import estimation
 from eigengarch.estimation import (
-    _joint_layout,
+    _free_mask,
     _joint_nll_grad,
     _lam_derivs,
     _lam_path,
@@ -188,31 +189,63 @@ class TestAdjointGradients:
             assert value == np.mean(np.log(lam) + Y2[:, i] / lam)
             assert np.abs(grad - ref).max() <= 1e-12 * np.abs(ref).max()
 
-    @pytest.mark.parametrize("diag_a", [True, False])
-    def test_joint_matches_central_differences(self, diag_a):
-        p = 3
-        X = simulate_path(diagonal_benchmark_spec(p), T=1000, burn_in=500, rng_seed=8)
-        n_phi, kappa_len, n_theta = _joint_layout(p, diag_a)
-        theta = np.empty(n_theta)
-        theta[:p] = [0.12, 0.2, 0.35]
-        theta[p:p + n_phi] = [0.4, 0.6, 0.9]
-        for i in range(p):
-            block = [0.07, 0.8] if diag_a else [0.02, 0.03, 0.01, 0.8]
-            if not diag_a:
-                block[i] = 0.07
-            off = p + n_phi + i * kappa_len
-            theta[off:off + kappa_len] = block
-        value, grad, feasible = _joint_nll_grad(theta, X, p, diag_a)
-        assert feasible
-        fd = np.empty(n_theta)
-        for k in range(n_theta):
+    @staticmethod
+    def _joint_kappas(p, diag_a):
+        """Own ARCH 0.07, persistence 0.8 and, for a full A, small spill-overs."""
+        kappas = np.tile([0.02, 0.03, 0.01, 0.8], (p, 1))
+        if diag_a:
+            kappas[:, :p] = 0.0
+        kappas[np.arange(p), np.arange(p)] = 0.07
+        return kappas
+
+    @staticmethod
+    def _joint_theta(p, diag_a, kappas):
+        """theta = [lam, phi, kappas[mask]] at fixed eigenvalues and angles."""
+        return np.concatenate([[0.12, 0.2, 0.35], [0.4, 0.6, 0.9],
+                               kappas[_free_mask(p, diag_a)]])
+
+    @staticmethod
+    def _joint_central_differences(theta, X, p, diag_a):
+        fd = np.empty(theta.size)
+        for k in range(theta.size):
             h = 1e-6 * max(abs(theta[k]), 0.1)
             up, dn = theta.copy(), theta.copy()
             up[k] += h
             dn[k] -= h
             fd[k] = (_joint_nll_grad(up, X, p, diag_a)[0]
                      - _joint_nll_grad(dn, X, p, diag_a)[0]) / (2 * h)
+        return fd
+
+    @pytest.mark.parametrize("diag_a", [True, False])
+    def test_joint_matches_central_differences(self, diag_a):
+        p = 3
+        X = simulate_path(diagonal_benchmark_spec(p), T=1000, burn_in=500, rng_seed=8)
+        kappas = self._joint_kappas(p, diag_a)
+        theta = self._joint_theta(p, diag_a, kappas)
+        value, grad, feasible = _joint_nll_grad(theta, X, p, diag_a)
+        assert feasible
+        fd = self._joint_central_differences(theta, X, p, diag_a)
         np.testing.assert_allclose(grad, fd, rtol=1e-6, atol=1e-8 * np.abs(fd).max())
+
+    @pytest.mark.parametrize("diag_a", [True, False])
+    def test_joint_penalty_matches_central_differences(self, diag_a, monkeypatch):
+        # equation 1 sits 1e-4 below the intercept floor, so its term is the
+        # pull-back; the penalty's constant base adds nothing to the gradient
+        # and is zeroed so the differences of the other terms stay resolvable
+        monkeypatch.setattr(estimation, "PENALTY_BASE", 0.0)
+        p = 3
+        X = simulate_path(diagonal_benchmark_spec(p), T=1000, burn_in=500, rng_seed=8)
+        kappas = self._joint_kappas(p, diag_a)
+        kappas[1, 1] = 0.2005 if diag_a else 0.171  # w_1 = -1e-4
+        theta = self._joint_theta(p, diag_a, kappas)
+        value, grad, feasible = _joint_nll_grad(theta, X, p, diag_a)
+        assert not feasible
+        lam = theta[:p]
+        w1 = (1.0 - kappas[1, p]) * lam[1] - kappas[1, :p] @ lam
+        assert w1 == pytest.approx(-1e-4, rel=1e-6)
+        fd = self._joint_central_differences(theta, X, p, diag_a)
+        # the pull-back's entries reach 4e5; the other terms' are O(1)
+        np.testing.assert_allclose(grad, fd, rtol=1e-6, atol=1e-8)
 
 
 class TestFitEquation:
@@ -377,6 +410,21 @@ class TestJointQMLE:
         for j in range(2):
             col = fit.target.V[:, j]
             assert col[np.abs(col) > 1e-12][0] > 0
+
+    def test_refuses_starts(self):
+        X = case1_panel(T=500, seed=23)
+        cfg = OptimizerConfig(starts=[np.array([0.1, 0.0, 0.5])])
+        with pytest.raises(ValidationError, match="starts"):
+            fit_joint_qmle(X, cfg, diag_a=True)
+
+    def test_start_traces_match_the_equation_fits(self):
+        X = case1_panel(T=1000, seed=29)
+        ste = fit_spectral_targeting(X, diag_a=True)
+        qmle = fit_joint_qmle(X, diag_a=True)
+        assert len(qmle.diagnostics[0].start_traces) == 2
+        keys = {"start", "success", "nll", "iterations", "message"}
+        for d in ste.diagnostics + qmle.diagnostics:
+            assert all(set(t) == keys for t in d.start_traces)
 
 
 class TestConsistencyScaling:

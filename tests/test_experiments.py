@@ -43,6 +43,11 @@ class TestBenchmarkSpecs:
         with pytest.raises(ValidationError):
             density_case_spec(4)
 
+    @pytest.mark.parametrize("p", [0, -2])
+    def test_benchmark_needs_one_asset(self, p):
+        with pytest.raises(ValidationError, match="at least 1"):
+            diagonal_benchmark_spec(p)
+
 
 class TestRelativeEfficiencyStatistic:
     def test_identical_estimates_give_unity(self):
@@ -115,6 +120,11 @@ class TestRunDensityStudy:
         assert abs(res.a11_standardized.mean()) < 1e-12
         summary = res.summary()
         assert set(summary) >= {"case", "T", "ks_a11", "median_abs_err_a11"}
+
+    @pytest.mark.parametrize("N", [0, 1])
+    def test_needs_two_replications(self, N):
+        with pytest.raises(ValidationError, match="at least 2 replications"):
+            run_density_study(1, N=N, T=500, seed=5)
 
     def test_deterministic_across_worker_counts(self):
         r1 = run_density_study(1, N=6, T=500, seed=9, n_workers=1)

@@ -57,6 +57,19 @@ def interior_fit(p=2, T=4000, seed=0):
     return fit_spectral_targeting(X), X
 
 
+def dense_sigma(blocks):
+    """Oracle: Sigma = M Omega M' through the dense e x e matrix M."""
+    p, e = blocks.p, blocks.e
+    n_gamma = p + p * p
+    Jinv = np.linalg.inv(blocks.J)
+    M = np.zeros((e, e))
+    M[:n_gamma, :n_gamma] = np.eye(n_gamma)
+    M[n_gamma:, :n_gamma] = -Jinv @ blocks.K
+    M[n_gamma:, n_gamma:] = -Jinv
+    Sigma = M @ blocks.Omega @ M.T
+    return 0.5 * (Sigma + Sigma.T)
+
+
 class TestSandwichBlocks:
     def test_dimensions_p2(self):
         fit, X = interior_fit()
@@ -274,9 +287,20 @@ class TestSandwichSigma:
             K = rng.standard_normal((3, 6))
             Oh = rng.standard_normal((9, 9))
             Omega = Oh @ Oh.T
-            sig = sandwich_sigma(SandwichBlocks(J=J, K=K, Omega=Omega, T=500, p=p))
-            np.testing.assert_allclose(sig.Sigma, sig.Sigma.T, atol=1e-8)
+            blocks = SandwichBlocks(J=J, K=K, Omega=Omega, T=500, p=p)
+            sig = sandwich_sigma(blocks)
+            np.testing.assert_array_equal(sig.Sigma, sig.Sigma.T)
             assert np.linalg.eigvalsh(sig.Sigma).min() >= -1e-8 * np.trace(sig.Sigma)
+            oracle = dense_sigma(blocks)
+            assert np.abs(sig.Sigma - oracle).max() <= 1e-12 * np.abs(oracle).max()
+
+    def test_block_form_matches_dense_oracle_on_a_fit(self):
+        fit, X = interior_fit(p=3, T=3000, seed=3)
+        blocks = sandwich_blocks(fit, X, 2)
+        Sigma = sandwich_sigma(blocks).Sigma
+        np.testing.assert_array_equal(Sigma, Sigma.T)
+        oracle = dense_sigma(blocks)
+        assert np.abs(Sigma - oracle).max() <= 1e-12 * np.abs(oracle).max()
 
     def test_singular_hessian_rejected(self):
         p = 1

@@ -214,6 +214,11 @@ class TestSimulatePath:
         X2 = simulate_path(spec, T=200, burn_in=100, rng_seed=5)
         assert np.array_equal(X1, X2)
 
+    @pytest.mark.parametrize("T, burn_in", [(0, 10), (-5, 10), (10, -3)])
+    def test_rejects_bad_lengths(self, T, burn_in):
+        with pytest.raises(ValidationError, match="T >= 1 and burn_in >= 0"):
+            simulate_path(density_case_spec(1), T=T, burn_in=burn_in)
+
 
 class TestMomentOrderCheck:
     def test_case1_fourth_moments(self):

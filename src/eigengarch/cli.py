@@ -115,6 +115,8 @@ def _fit(opts: _Options, panel: ReturnPanel):
 
 def _spec_for_dgp(name: str, p: int):
     if name in ("case1", "case2", "case3"):
+        if p != 2:
+            raise ValidationError(f"dgp {name} is bivariate: --p must be 2, got {p}")
         return density_case_spec(int(name[-1])), name == "case3"
     if name == "benchmark":
         return diagonal_benchmark_spec(p), False

@@ -22,7 +22,7 @@ from scipy.stats import kstest
 from ._blas import single_threaded
 from .estimation import ModelFit, fit_joint_qmle, fit_spectral_targeting
 from .exceptions import ValidationError
-from .model import DynamicsParams, ModelSpec, simulate_path
+from .model import DynamicsParams, ModelSpec, _advance_paths, simulate_path
 from .spectral import givens_product
 
 __all__ = [
@@ -34,6 +34,11 @@ __all__ = [
     "run_relative_efficiency",
     "run_density_study",
 ]
+
+BURN_IN = 1000
+# Byte budget of one chunk's innovation block: the density study simulates
+# the replications of a chunk together, in one loop over time.
+CHUNK_BYTES = 4 * 2**20
 
 
 @dataclass(frozen=True)
@@ -158,6 +163,33 @@ def relative_efficiency_statistic(
     return float(d_ste @ info @ d_ste) / denom
 
 
+def _chunks(seeds: list, T: int, p: int, n_workers: int) -> list[list]:
+    """Runs of consecutive replication seeds, one simulation block each.
+
+    A chunk's (BURN_IN + T) x p innovation blocks fit in ``CHUNK_BYTES``,
+    and every worker gets a chunk when there are enough replications.
+    """
+    size = CHUNK_BYTES // ((BURN_IN + T) * p * 8)
+    size = max(1, min(size, -(-len(seeds) // n_workers)))
+    return [seeds[k:k + size] for k in range(0, len(seeds), size)]
+
+
+def _simulated_paths(spec: ModelSpec, T: int, seeds: list):
+    """The T x p return paths of one chunk of replications, in seed order.
+
+    Each replication draws its innovations from its own seed and the
+    chunk's eigenvalue paths advance together, so each path equals
+    ``simulate_path(spec, T, BURN_IN, seed)`` bit for bit. A path's returns
+    are formed only when it is taken.
+    """
+    Y = np.empty((len(seeds), BURN_IN + T, spec.p))
+    for k, seed in enumerate(seeds):
+        np.random.default_rng(seed).standard_normal(out=Y[k])
+    _advance_paths(spec, Y, Y)
+    for k in range(len(seeds)):
+        yield (Y[k] @ spec.V.T)[BURN_IN:]
+
+
 @single_threaded
 def run_relative_efficiency(
     cfg: ExperimentConfig,
@@ -182,7 +214,7 @@ def run_relative_efficiency(
         t_ste, t_qmle = [], []
         qmle_failures = 0
         for seed in seeds:
-            X = simulate_path(spec, T=cfg.T, burn_in=1000, rng_seed=seed)
+            X = simulate_path(spec, T=cfg.T, burn_in=BURN_IN, rng_seed=seed)
             if "ste" in cfg.estimators:
                 t0 = time.process_time()
                 fit = fit_spectral_targeting(X, diag_a=True)
@@ -267,22 +299,18 @@ def _match_columns(V_fit: np.ndarray, V_true: np.ndarray) -> list[int]:
     return assignment
 
 
-def _density_one_rep(case: int, T: int, seed) -> tuple[float, float]:
-    spec = density_case_spec(case)
-    X = simulate_path(
-        spec, T=T, burn_in=1000, rng_seed=seed, allow_nonstationary=(case == 3)
-    )
-    fit = fit_spectral_targeting(X, diag_a=True, fit_b=False)
-    # report in the simulation's own equation order (leading equation first)
-    matched = _match_columns(fit.target.V, spec.V)
-    lead = matched[0]
-    return float(fit.W[lead]), float(fit.kappas[lead, lead])
-
-
 @single_threaded
-def _density_worker(args):
-    case, T, child_seed = args
-    return _density_one_rep(case, T, child_seed)
+def _density_chunk(args) -> list[tuple[float, float]]:
+    """Leading intercept and ARCH estimates of one chunk of replications."""
+    case, T, seeds = args
+    spec = density_case_spec(case)
+    out = []
+    for X in _simulated_paths(spec, T, seeds):
+        fit = fit_spectral_targeting(X, diag_a=True, fit_b=False)
+        # report in the simulation's own equation order (leading equation first)
+        lead = _match_columns(fit.target.V, spec.V)[0]
+        out.append((float(fit.W[lead]), float(fit.kappas[lead, lead])))
+    return out
 
 
 @single_threaded
@@ -300,19 +328,26 @@ def run_density_study(
     scaled replication draws, their Kolmogorov-Smirnov distances to the
     standard normal, and median absolute errors against the truth.
     Needs ``N >= 2``: the standardized draws divide by a sample deviation.
+    ``n_workers`` processes fit whole chunks of replications; it must be
+    at least 1.
     """
     if N < 2:
         raise ValidationError(f"need at least 2 replications, got N={N}")
+    if T < 1:
+        raise ValidationError(f"need T >= 1, got T={T}")
+    if n_workers < 1:
+        raise ValidationError(f"need n_workers >= 1, got {n_workers}")
     spec = density_case_spec(case)
     truth_w1 = float(spec.W[0])
     truth_a11 = float(spec.dynamics.A[0, 0])
     children = np.random.SeedSequence(seed).spawn(N)
-    jobs = [(case, T, child) for child in children]
+    jobs = [(case, T, chunk) for chunk in _chunks(children, T, spec.p, n_workers)]
     if n_workers > 1:
         with ProcessPoolExecutor(max_workers=n_workers) as pool:
-            results = list(pool.map(_density_worker, jobs, chunksize=8))
+            done = list(pool.map(_density_chunk, jobs))
     else:
-        results = [_density_worker(job) for job in jobs]
+        done = [_density_chunk(job) for job in jobs]
+    results = [r for chunk in done for r in chunk]
     w1 = np.array([r[0] for r in results])
     a11 = np.array([r[1] for r in results])
 

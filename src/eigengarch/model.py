@@ -11,6 +11,7 @@ diagonal so each equation carries only its own lag.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from typing import Optional
 
@@ -249,19 +250,38 @@ def simulate_path(
     else:
         rng = np.random.default_rng(rng_seed)
         Z = rng.standard_normal((n_total, p))
-    A, b, W = spec.dynamics.A, spec.dynamics.b, spec.W
-    lam0 = spec.lam if spec.lam is not None else W
-    lam = lam0.astype(float).copy()
-    lam_path = np.empty((n_total, p))
     Y = np.empty((n_total, p))
-    for t in range(n_total):
-        lam_path[t] = lam
-        Y[t] = np.sqrt(lam) * Z[t]
-        lam = W + A @ (Y[t] ** 2) + b * lam
+    lam_path = np.empty((n_total, p)) if return_internals else None
+    _advance_paths(spec, Z[None], Y[None], None if lam_path is None else lam_path[None])
     X = Y @ spec.V.T
     if return_internals:
         return X[burn_in:], Y[burn_in:], lam_path[burn_in:], Z[burn_in:]
     return X[burn_in:]
+
+
+def _advance_paths(spec: ModelSpec, Z: np.ndarray, Y: np.ndarray,
+                   lam_path: Optional[np.ndarray] = None) -> None:
+    """Run N eigenvalue paths through their innovations in one loop over time.
+
+    ``Z`` is an (N, n, p) block of innovations. The rotated returns
+    Y_t = lam_t^(1/2) Z_t go to ``Y``, which may be ``Z`` itself, and the
+    eigenvalues in force at each step to ``lam_path`` when given. Paths
+    start at the unconditional eigenvalues (the intercepts when those do
+    not exist). A diagonal A is an elementwise product; a full A is one
+    matrix-vector product per path, which rounds as that path's own
+    ``A @ y**2`` does, so no path depends on the others in its block.
+    """
+    A, b, W = spec.dynamics.A, spec.dynamics.b, spec.W
+    a = np.diag(A) if spec.dynamics.diag_a else None
+    lam = np.tile(spec.lam if spec.lam is not None else W, (Z.shape[0], 1))
+    # iterating time-major views costs less per step than indexing Z[:, t]
+    lam_rows = itertools.repeat(None) if lam_path is None else lam_path.swapaxes(0, 1)
+    for z, y, lam_row in zip(Z.swapaxes(0, 1), Y.swapaxes(0, 1), lam_rows):
+        if lam_row is not None:
+            lam_row[...] = lam
+        y2 = np.multiply(np.sqrt(lam), z, y) ** 2
+        drive = a * y2 if a is not None else np.matmul(A, y2[:, :, None])[:, :, 0]
+        lam = W + drive + b * lam
 
 
 def moment_order_check(

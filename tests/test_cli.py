@@ -43,6 +43,11 @@ class TestSimulate:
         run(["simulate", "--dgp", "case2", "--T", "100", "--seed", "3", "--out", b])
         assert (a / "panel.csv").read_bytes() == (b / "panel.csv").read_bytes()
 
+    def test_bivariate_dgp_takes_p_two(self, tmp_path):
+        assert run(["simulate", "--dgp", "case2", "--p", "2", "--T", "50",
+                    "--out", tmp_path]) == 0
+        assert load_returns_csv(tmp_path / "panel.csv").values.shape == (50, 2)
+
     def test_case3_needs_no_flag(self, tmp_path):
         assert run(["simulate", "--dgp", "case3", "--T", "50", "--seed", "1",
                     "--out", tmp_path]) == 0
@@ -52,6 +57,8 @@ class TestSimulate:
         ["--T", "-5"],
         ["--T", "0"],
         ["--dgp", "benchmark", "--p", "0"],
+        ["--dgp", "case1", "--p", "5"],
+        ["--dgp", "case3", "--p", "1"],
     ])
     def test_bad_input_is_2_and_writes_nothing(self, flags, tmp_path, capsys):
         assert run(["simulate", *flags, "--out", tmp_path]) == 2
@@ -241,6 +248,13 @@ class TestDensityStudy:
         assert run(["density-study", "--case", "1", "--n-reps", n_reps,
                     "--T", "800", "--out", tmp_path]) == 2
         assert "at least 2 replications" in capsys.readouterr().err
+        assert not (tmp_path / "density_case1.json").exists()
+
+    @pytest.mark.parametrize("workers", ["0", "-2"])
+    def test_fewer_than_one_worker_is_2(self, workers, tmp_path, capsys):
+        assert run(["density-study", "--case", "1", "--n-reps", "4", "--T", "800",
+                    "--workers", workers, "--out", tmp_path]) == 2
+        assert "n_workers >= 1" in capsys.readouterr().err
         assert not (tmp_path / "density_case1.json").exists()
 
 

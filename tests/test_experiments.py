@@ -4,16 +4,40 @@ import numpy as np
 import pytest
 
 from eigengarch import (
+    DynamicsParams,
     ExperimentConfig,
+    ModelSpec,
     ValidationError,
+    experiments,
+    fit_spectral_targeting,
     run_density_study,
     run_relative_efficiency,
+    simulate_path,
 )
 from eigengarch.experiments import (
     density_case_spec,
     diagonal_benchmark_spec,
     relative_efficiency_statistic,
 )
+
+
+def per_path_density(case, N, T, seed):
+    """Density-study estimates computed one replication at a time."""
+    spec = density_case_spec(case)
+    w1, a11 = [], []
+    for child in np.random.SeedSequence(seed).spawn(N):
+        X = simulate_path(spec, T=T, burn_in=1000, rng_seed=child,
+                          allow_nonstationary=(case == 3))
+        fit = fit_spectral_targeting(X, diag_a=True, fit_b=False)
+        lead = experiments._match_columns(fit.target.V, spec.V)[0]
+        w1.append(fit.W[lead])
+        a11.append(fit.kappas[lead, lead])
+    return np.array(w1), np.array(a11)
+
+
+def chunk_of(monkeypatch, n_paths, T, p):
+    """Set the chunk byte budget to n_paths innovation blocks of T + burn-in rows."""
+    monkeypatch.setattr(experiments, "CHUNK_BYTES", n_paths * (1000 + T) * p * 8)
 
 
 class TestConfig:
@@ -66,6 +90,34 @@ class TestRelativeEfficiencyStatistic:
         assert relative_efficiency_statistic(bad, good, theta0) > 1.0
 
 
+class TestChunkedSimulation:
+    @pytest.mark.parametrize("spec", [
+        density_case_spec(1),
+        density_case_spec(3),
+        diagonal_benchmark_spec(5),
+        ModelSpec.from_intercepts(
+            np.eye(3), [0.3, 0.2, 0.1],
+            DynamicsParams(A=np.full((3, 3), 0.05), b=np.full(3, 0.6))),
+    ], ids=["case1", "case3", "diagonal5", "full_a3"])
+    def test_chunk_paths_equal_simulate_path(self, spec):
+        seeds = np.random.SeedSequence(4).spawn(5)
+        paths = list(experiments._simulated_paths(spec, 300, seeds))
+        assert len(paths) == 5
+        for X, seed in zip(paths, seeds):
+            expected = simulate_path(spec, T=300, burn_in=1000, rng_seed=seed,
+                                     allow_nonstationary=True)
+            np.testing.assert_array_equal(X, expected)
+
+    def test_chunks_follow_the_byte_budget_and_the_workers(self, monkeypatch):
+        seeds = list(range(10))
+        chunk_of(monkeypatch, 4, T=500, p=2)
+        assert experiments._chunks(seeds, 500, 2, 1) == [seeds[:4], seeds[4:8], seeds[8:]]
+        assert experiments._chunks(seeds, 500, 2, n_workers=5) == [
+            seeds[k:k + 2] for k in range(0, 10, 2)]
+        # a block larger than the budget still makes one-path chunks
+        assert experiments._chunks(seeds, 10**6, 2, 1) == [[s] for s in seeds]
+
+
 class TestRunRelativeEfficiency:
     def test_ste_only_never_runs_joint_optimizer(self, monkeypatch):
         from eigengarch import experiments
@@ -106,6 +158,30 @@ class TestRunRelativeEfficiency:
         assert 0.5 <= row.re <= 5.0
         assert row.time_ste < row.time_qmle
 
+    def test_fits_see_the_per_path_simulations(self, monkeypatch):
+        cfg = ExperimentConfig(dimensions=[1, 2], n_replications=4, T=300, seed=3)
+        seen = []
+
+        def spy(fit):
+            def wrapped(X, *args, **kwargs):
+                seen.append((fit.__name__, X.copy()))
+                return fit(X, *args, **kwargs)
+            return wrapped
+
+        monkeypatch.setattr(experiments, "fit_spectral_targeting",
+                            spy(experiments.fit_spectral_targeting))
+        monkeypatch.setattr(experiments, "fit_joint_qmle", spy(experiments.fit_joint_qmle))
+        run_relative_efficiency(cfg)
+        master = np.random.SeedSequence(cfg.seed)
+        expected = [simulate_path(diagonal_benchmark_spec(p), T=cfg.T, burn_in=1000,
+                                  rng_seed=child)
+                    for p in cfg.dimensions for child in master.spawn(cfg.n_replications)]
+        assert [name for name, _ in seen] == [
+            "fit_spectral_targeting", "fit_joint_qmle"] * len(expected)
+        for k, X in enumerate(expected):
+            np.testing.assert_array_equal(seen[2 * k][1], X)
+            np.testing.assert_array_equal(seen[2 * k + 1][1], X)
+
     def test_row_flagged_when_qmle_unreliable(self):
         cfg = ExperimentConfig(dimensions=[2], n_replications=2, T=400, seed=2)
         rows = run_relative_efficiency(cfg, qmle_failure_limit=-0.5)
@@ -131,6 +207,24 @@ class TestRunDensityStudy:
         r2 = run_density_study(1, N=6, T=500, seed=9, n_workers=2)
         assert np.array_equal(r1.a11, r2.a11)
         assert np.array_equal(r1.w1, r2.w1)
+
+    @pytest.mark.parametrize("case, n_workers", [(1, 1), (1, 2), (3, 1)])
+    def test_one_more_replication_than_a_chunk(self, case, n_workers, monkeypatch):
+        chunk_of(monkeypatch, 3, T=400, p=2)
+        res = run_density_study(case, N=4, T=400, seed=21, n_workers=n_workers)
+        w1, a11 = per_path_density(case, N=4, T=400, seed=21)
+        np.testing.assert_array_equal(res.w1, w1)
+        np.testing.assert_array_equal(res.a11, a11)
+
+    @pytest.mark.parametrize("T", [0, -1500])
+    def test_needs_a_positive_length(self, T):
+        with pytest.raises(ValidationError, match="T >= 1"):
+            run_density_study(1, N=4, T=T, seed=5)
+
+    @pytest.mark.parametrize("n_workers", [0, -1])
+    def test_needs_a_worker(self, n_workers):
+        with pytest.raises(ValidationError, match="n_workers >= 1"):
+            run_density_study(1, N=4, T=300, seed=5, n_workers=n_workers)
 
     def test_case3_estimates_bounded_away_from_truth(self):
         # targeting feasibility caps the diagonal ARCH below one, so the

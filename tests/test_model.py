@@ -18,11 +18,44 @@ from eigengarch import (
     unconditional_eigenvalues,
 )
 from eigengarch.spectral import SpectralTarget
-from eigengarch.experiments import density_case_spec
+from eigengarch.experiments import density_case_spec, diagonal_benchmark_spec
 
 
 def case1_spec():
     return density_case_spec(1)
+
+
+def full_a_spec():
+    """Bivariate process with spill-overs in A and persistence in b."""
+    dyn = DynamicsParams(A=np.array([[0.15, 0.05], [0.04, 0.12]]),
+                         b=np.array([0.50, 0.55]))
+    return ModelSpec.from_intercepts(case1_spec().V, np.array([0.6, 0.25]), dyn)
+
+
+def reference_path(spec, T, burn_in, rng_seed):
+    """One path at a time, one time step at a time, with the dense A @ y**2."""
+    p = spec.p
+    Z = np.random.default_rng(rng_seed).standard_normal((burn_in + T, p))
+    A, b, W = spec.dynamics.A, spec.dynamics.b, spec.W
+    lam = (spec.lam if spec.lam is not None else W).astype(float).copy()
+    lam_path = np.empty((burn_in + T, p))
+    Y = np.empty((burn_in + T, p))
+    for t in range(burn_in + T):
+        lam_path[t] = lam
+        Y[t] = np.sqrt(lam) * Z[t]
+        lam = W + A @ (Y[t] ** 2) + b * lam
+    X = Y @ spec.V.T
+    return X[burn_in:], Y[burn_in:], lam_path[burn_in:], Z[burn_in:]
+
+
+REFERENCE_SPECS = {
+    "case1": (lambda: density_case_spec(1), False),
+    "case2": (lambda: density_case_spec(2), False),
+    "case3": (lambda: density_case_spec(3), True),
+    "diagonal5": (lambda: diagonal_benchmark_spec(5), False),
+    "diagonal25": (lambda: diagonal_benchmark_spec(25), False),
+    "full_a": (full_a_spec, False),
+}
 
 
 class TestUnconditionalEigenvalues:
@@ -213,6 +246,29 @@ class TestSimulatePath:
         X1 = simulate_path(spec, T=200, burn_in=100, rng_seed=5)
         X2 = simulate_path(spec, T=200, burn_in=100, rng_seed=5)
         assert np.array_equal(X1, X2)
+
+    @pytest.mark.parametrize("name", sorted(REFERENCE_SPECS))
+    @pytest.mark.parametrize("rng_seed", [0, np.random.SeedSequence(77_000).spawn(2)[1]])
+    def test_equals_per_path_reference(self, name, rng_seed):
+        make, nonstationary = REFERENCE_SPECS[name]
+        spec = make()
+        expected = reference_path(spec, T=700, burn_in=300, rng_seed=rng_seed)
+        got = simulate_path(spec, T=700, burn_in=300, rng_seed=rng_seed,
+                            allow_nonstationary=nonstationary, return_internals=True)
+        for a, b in zip(got, expected):
+            np.testing.assert_array_equal(a, b)
+        X = simulate_path(spec, T=700, burn_in=300, rng_seed=rng_seed,
+                          allow_nonstationary=nonstationary)
+        np.testing.assert_array_equal(X, expected[0])
+
+    def test_innovation_hook_left_untouched(self):
+        Z = np.random.default_rng(2).standard_normal((150, 2))
+        kept = Z.copy()
+        X, Y, lam_path, Z_out = simulate_path(case1_spec(), T=100, burn_in=50,
+                                              innovations=Z, return_internals=True)
+        np.testing.assert_array_equal(Z, kept)
+        np.testing.assert_array_equal(Z_out, kept[50:])
+        np.testing.assert_array_equal(Y, np.sqrt(lam_path) * Z_out)
 
     @pytest.mark.parametrize("T, burn_in", [(0, 10), (-5, 10), (10, -3)])
     def test_rejects_bad_lengths(self, T, burn_in):

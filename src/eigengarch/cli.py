@@ -166,11 +166,11 @@ def cmd_estimate(opts: _Options) -> int:
     panel = _load_panel(opts)
     fit = _fit(opts, panel)
     payload = _fit_payload(fit)
+    payload["start_traces"] = [
+        [{k: v for k, v in t.items() if k != "start"} for t in d.start_traces]
+        for d in fit.diagnostics
+    ]
     if not fit.converged:
-        payload["start_traces"] = [
-            [{k: v for k, v in t.items() if k != "start"} for t in d.start_traces]
-            for d in fit.diagnostics
-        ]
         _write_json(_out_dir(opts) / "fit.json", payload)
         raise ConvergenceError(
             "estimation did not converge; partial report written to fit.json",

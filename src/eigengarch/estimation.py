@@ -139,16 +139,6 @@ def _as_lam(gamma) -> np.ndarray:
     return np.atleast_1d(np.asarray(gamma, dtype=float))
 
 
-def _lam_path(Y2: np.ndarray, lam_vec: np.ndarray, i: int, a: np.ndarray,
-              b: float, lam0: float) -> np.ndarray:
-    """Conditional eigenvalue path of equation i under targeting."""
-    w = (1.0 - b) * lam_vec[i] - float(a @ lam_vec)
-    c = np.empty(Y2.shape[0])
-    c[0] = lam0
-    c[1:] = w + Y2[:-1] @ a
-    return linear_recursion(c, b)
-
-
 def _lam_derivs(Y2: np.ndarray, lam_vec: np.ndarray, i: int, b: float,
                 lam: np.ndarray) -> np.ndarray:
     """d lam_t / d kappa for every t (T x (p+1)); the initial value is kappa-free.
@@ -164,60 +154,57 @@ def _lam_derivs(Y2: np.ndarray, lam_vec: np.ndarray, i: int, b: float,
     return linear_recursion(x, b)
 
 
-def _equation_kernel(kappa: np.ndarray, lam_vec: np.ndarray, Y2: np.ndarray,
-                     i: int, lam0: float):
-    """Criterion, kappa-gradient, path and adjoint of equation i at a feasible point.
-
-    The adjoint r_t = dL/dlam_t summed over every later step solves
-    r_t = g_t + b r_{t+1} with g_t = (1 - y2_t / lam_t) / (lam_t T), so the
-    gradient is one contraction of r against the direct partials of lam_t.
-    Returns (value, grad, lam, r).
-    """
-    p = lam_vec.shape[0]
-    a, b = kappa[:p], float(kappa[p])
-    lam = _lam_path(Y2, lam_vec, i, a, b, lam0)
-    y2 = Y2[:, i]
-    ratio = y2 / lam
-    value = float(np.mean(np.log(lam) + ratio))
-    r = linear_recursion((1.0 - ratio) / (lam * Y2.shape[0]), b, reverse=True)
-    r1 = r[1:]
-    total = r1.sum()
-    grad = np.empty(p + 1)
-    grad[:p] = r1 @ Y2[:-1] - lam_vec * total
-    grad[p] = r1 @ lam[:-1] - lam_vec[i] * total
-    return value, grad, lam, r
-
-
-def _penalized(w: float, floor: float, lam_vec: np.ndarray, i: int):
+def _penalized(w: float, floor: float):
     """Smooth pull-back for the infeasible region w <= floor.
 
     Zero influence at feasible points (the criterion stays exact there); in
     the infeasible region the value is huge with a gradient pointing back
-    toward feasibility. Returns the value, its kappa-gradient and its slope
-    in w, which carries the gradient to any other coordinate that moves w.
+    toward feasibility. Returns the value and its slope in w, which carries
+    the gradient to every coordinate that moves w.
     """
     gap = floor - w
-    value = PENALTY_BASE + PENALTY_SCALE * gap * gap
-    slope = -2.0 * PENALTY_SCALE * gap
-    # dw/dkappa = (-lam_1, ..., -lam_p, -lam_i)
-    dw = -np.concatenate([lam_vec, [lam_vec[i]]])
-    return value, slope * dw, slope
+    return PENALTY_BASE + PENALTY_SCALE * gap * gap, -2.0 * PENALTY_SCALE * gap
 
 
-def _nll_grad_core(kappa: np.ndarray, lam_vec: np.ndarray, Y2: np.ndarray, i: int):
-    """Criterion and analytic kappa-gradient on pre-squared rotated returns.
+def _equation_kernel(x: np.ndarray, Z: np.ndarray, z_lam: np.ndarray,
+                     y2: np.ndarray, lam_i: float):
+    """Criterion and gradient of one equation in its free coordinates.
 
-    The path starts at the target lam_i.
+    Z (T x k) holds the squared rotated returns whose ARCH loadings are free
+    and z_lam their targets; y2 is the equation's own squared return and
+    lam_i its target, where the path starts. x holds the k free loadings,
+    then b when x has k + 1 entries; otherwise b = 0. The adjoint
+    r_t = dL/dlam_t summed over every later step solves r_t = g_t + b r_{t+1}
+    with g_t = (1 - y2_t / lam_t) / (lam_t T), so the gradient is one
+    contraction of r against the direct partials of lam_t.
+
+    Returns (value, grad, lam, r). At an infeasible point the value and the
+    gradient are the pull-back of ``_penalized``, and lam and r are None.
     """
-    p = lam_vec.shape[0]
-    a, b = kappa[:p], float(kappa[p])
-    floor = W_FLOOR_REL * lam_vec[i]
-    w = (1.0 - b) * lam_vec[i] - float(a @ lam_vec)
+    k = Z.shape[1]
+    a = x[:k]
+    b = float(x[k]) if x.shape[0] > k else 0.0
+    floor = W_FLOOR_REL * lam_i
+    w = (1.0 - b) * lam_i - float(a @ z_lam)
     if w <= floor or b >= 1.0 or (a < 0).any() or b < 0:
-        value, grad, _ = _penalized(w, floor, lam_vec, i)
-        return value, grad, False
-    value, grad, _, _ = _equation_kernel(kappa, lam_vec, Y2, i, float(lam_vec[i]))
-    return value, grad, True
+        value, slope = _penalized(w, floor)
+        # dw/da = -z_lam, dw/db = -lam_i
+        return value, -slope * np.append(z_lam, lam_i)[:x.shape[0]], None, None
+    T = y2.shape[0]
+    c = np.empty(T)
+    c[0] = lam_i
+    c[1:] = w + np.dot(Z[:-1], a)  # for one column, @ takes a slower route
+    lam = linear_recursion(c, b)
+    ratio = y2 / lam
+    value = float(np.mean(np.log(lam) + ratio))
+    r = linear_recursion((1.0 - ratio) / (lam * T), b, reverse=True)
+    r1 = r[1:]
+    total = r1.sum()
+    grad = np.empty(x.shape[0])
+    grad[:k] = r1 @ Z[:-1] - z_lam * total
+    if x.shape[0] > k:
+        grad[k] = r1 @ lam[:-1] - lam_i * total
+    return value, grad, lam, r
 
 
 def _check_equation_index(i, p: int) -> None:
@@ -233,17 +220,24 @@ def _check_kappa(kappa, p: int, i) -> np.ndarray:
     return kappa
 
 
+def _full_width(kappa, gamma, Y: np.ndarray, i: int):
+    """Checked kappa, targets, squared returns, then value, gradient and path.
+
+    The kernel runs over every ARCH column, whichever entries are zero.
+    """
+    lam_vec = _as_lam(gamma)
+    kappa = _check_kappa(kappa, lam_vec.shape[0], i)
+    Y2 = np.atleast_2d(np.asarray(Y, dtype=float)) ** 2
+    return (kappa, lam_vec, Y2) + _equation_kernel(kappa, Y2, lam_vec, Y2[:, i], lam_vec[i])[:3]
+
+
 def equation_nll(kappa, gamma, Y: np.ndarray, i: int) -> float:
     """Profiled Gaussian criterion of one rotated return.
 
     Returns a large finite penalty (never raises) when the implied intercept
     is non-positive, so optimizers can recover from the invalid region.
     """
-    lam_vec = _as_lam(gamma)
-    kappa = _check_kappa(kappa, lam_vec.shape[0], i)
-    Y2 = np.atleast_2d(np.asarray(Y, dtype=float)) ** 2
-    value, _, _ = _nll_grad_core(kappa, lam_vec, Y2, i)
-    return value
+    return _full_width(kappa, gamma, Y, i)[3]
 
 
 def equation_score(kappa, gamma, Y: np.ndarray, i: int) -> np.ndarray:
@@ -253,24 +247,18 @@ def equation_score(kappa, gamma, Y: np.ndarray, i: int) -> np.ndarray:
     contributes; its adjoint follows the same b-lagged recursion as the path,
     run backward in time.
     """
-    lam_vec = _as_lam(gamma)
-    kappa = _check_kappa(kappa, lam_vec.shape[0], i)
-    Y2 = np.atleast_2d(np.asarray(Y, dtype=float)) ** 2
-    _, grad, feasible = _nll_grad_core(kappa, lam_vec, Y2, i)
-    if not feasible:
+    *_, grad, lam = _full_width(kappa, gamma, Y, i)
+    if lam is None:
         raise ValidationError("score requested at an infeasible point")
     return grad
 
 
 def _forward_derivs(kappa, gamma, Y: np.ndarray, i: int):
-    """Checked kappa, squared returns, path and forward kappa-derivatives (feasible point)."""
-    lam_vec = _as_lam(gamma)
-    kappa = _check_kappa(kappa, lam_vec.shape[0], i)
-    p = lam_vec.shape[0]
-    Y2 = np.atleast_2d(np.asarray(Y, dtype=float)) ** 2
-    b = float(kappa[p])
-    lam = _lam_path(Y2, lam_vec, i, kappa[:p], b, float(lam_vec[i]))
-    return kappa, Y2, lam, _lam_derivs(Y2, lam_vec, i, b, lam)
+    """Checked kappa, squared returns, path and forward kappa-derivatives."""
+    kappa, lam_vec, Y2, _, _, lam = _full_width(kappa, gamma, Y, i)
+    if lam is None:
+        raise ValidationError("derivatives requested at an infeasible point")
+    return kappa, Y2, lam, _lam_derivs(Y2, lam_vec, i, float(kappa[-1]), lam)
 
 
 def equation_score_contributions(kappa, gamma, Y: np.ndarray, i: int) -> np.ndarray:
@@ -389,6 +377,7 @@ def _run_starts(objective, starts, bounds, max_iterations: int):
             "success": bool(res.success),
             "nll": float(res.fun),
             "iterations": int(res.nit),
+            "evaluations": int(res.nfev),
             "message": str(res.message),
         })
     return results, traces
@@ -422,19 +411,17 @@ def fit_equation(Y: np.ndarray, gamma_hat, i: int,
     """
     lam_vec = _as_lam(gamma_hat)
     Y = np.atleast_2d(np.asarray(Y, dtype=float))
-    Y2 = Y**2
     p = lam_vec.shape[0]
     _check_equation_index(i, p)
     floor = W_FLOOR_REL * lam_vec[i]
     keep = _free_mask(p, diag_a, fit_b)[i]
     free = np.flatnonzero(keep)
     bounds = _bounds(free, p)
+    y2 = Y[:, i] ** 2
+    Z, z_lam = (y2[:, None], lam_vec[[i]]) if diag_a else (Y**2, lam_vec)
 
     def objective(free_vals):
-        kappa = np.zeros(p + 1)
-        kappa[free] = free_vals
-        value, grad, _ = _nll_grad_core(kappa, lam_vec, Y2, i)
-        return value, grad[free]
+        return _equation_kernel(free_vals, Z, z_lam, y2, lam_vec[i])[:2]
 
     if cfg.starts is not None:
         starts = [np.asarray(s, dtype=float) for s in cfg.starts]
@@ -596,20 +583,21 @@ def _joint_nll_grad(theta: np.ndarray, X: np.ndarray, p: int, diag_a: bool):
     feasible = True
     for i in range(p):
         a, b = kappas[i, :p], float(kappas[i, p])
-        floor = W_FLOOR_REL * lam_vec[i]
-        w = (1.0 - b) * lam_vec[i] - float(a @ lam_vec)
-        # dw/dlam_k = (1-b) delta_ik - a_k ; dw/da_j = -lam_j ; dw/db = -lam_i
+        # dw/dlam_k = (1-b) delta_ik - a_k
         dw = -a
         dw[i] += 1.0 - b
-        if w <= floor:
-            feasible = False
-            value, g_kappas[i], slope = _penalized(w, floor, lam_vec, i)
-            total += value
-            grad[:p] += slope * dw
-            continue
-        value, g_kappas[i], lam, r = _equation_kernel(kappas[i], lam_vec, Y2, i,
-                                                      float(lam_vec[i]))
+        y2 = Y2[:, i].copy()
+        Z, z_lam = (y2[:, None], lam_vec[[i]]) if diag_a else (Y2, lam_vec)
+        value, g_kappas[i, mask[i]], lam, r = _equation_kernel(
+            kappas[i, mask[i]], Z, z_lam, y2, lam_vec[i])
         total += value
+        if lam is None:
+            feasible = False
+            floor = W_FLOOR_REL * lam_vec[i]
+            _, slope = _penalized((1.0 - b) * lam_vec[i] - float(a @ lam_vec), floor)
+            grad[:p] += slope * dw
+            grad[i] -= slope * W_FLOOR_REL  # the floor moves with lam_i
+            continue
         grad[:p] += dw * r[1:].sum()
         grad[i] += r[0]
         R[:, i] = r[1:]

@@ -170,10 +170,12 @@ def linear_recursion(c: np.ndarray, b: float, reverse: bool = False) -> np.ndarr
 
     Forward: s_0 = c_0 and s_t = c_t + b s_{t-1}, the eigenvalue path and its
     forward derivatives. Reverse: r_{T-1} = c_{T-1} and r_t = c_t + b r_{t+1},
-    the adjoint that carries a criterion's sensitivities back in time.
+    the adjoint that carries a criterion's sensitivities back in time. Both
+    return C-contiguous arrays, which BLAS takes in a product; a reversed
+    view would not.
     """
     if reverse:
-        return lfilter([1.0], [1.0, -b], c[::-1], axis=0)[::-1]
+        return np.ascontiguousarray(lfilter([1.0], [1.0, -b], c[::-1], axis=0)[::-1])
     return lfilter([1.0], [1.0, -b], c, axis=0)
 
 

@@ -78,6 +78,10 @@ class TestEstimate:
         for entry in fit["standard_errors"]:
             assert ("w_se" in entry) or ("unavailable" in entry)
         assert fit["blas_threads"] == {name: 1 for name in _blas.thread_counts()}
+        # one record per start of every equation fit
+        for traces in fit["start_traces"]:
+            assert len(traces) == 3
+            assert all(t["evaluations"] > t["iterations"] for t in traces)
 
     def test_qmle_method(self, sim_dir, tmp_path):
         assert run(["estimate", "--input", sim_dir / "panel.csv",

@@ -17,6 +17,7 @@ from eigengarch import (
     simulate_path,
     unconditional_eigenvalues,
 )
+from eigengarch.model import linear_recursion
 from eigengarch.spectral import SpectralTarget
 from eigengarch.experiments import density_case_spec, diagonal_benchmark_spec
 
@@ -126,6 +127,27 @@ class TestInterceptsFromTargets:
                 SpectralTarget(lam=lam, V=np.eye(p)), dyn
             )
             np.testing.assert_allclose(back, W, atol=1e-10)
+
+
+class TestLinearRecursion:
+    @pytest.mark.parametrize("shape", [(200,), (200, 4)])
+    @pytest.mark.parametrize("reverse", [False, True])
+    def test_matches_plain_loop(self, shape, reverse):
+        # s_t = c_t + b s_{t-1}, run from the last row back when reversed;
+        # the same products and sums in the same order, so equal bit for bit
+        c = np.random.default_rng(5).standard_normal(shape)
+        b = 0.93
+        expected = np.empty_like(c)
+        steps = range(shape[0] - 1, -1, -1) if reverse else range(shape[0])
+        prev = None
+        for t in steps:
+            expected[t] = c[t] if prev is None else c[t] + b * expected[prev]
+            prev = t
+        out = linear_recursion(c, b, reverse=reverse)
+        assert np.array_equal(out, expected)
+        # a reversed view would make every BLAS product with it fall back
+        # to NumPy's own loop
+        assert out.flags.c_contiguous
 
 
 class TestFilterEigenvalues:

@@ -85,6 +85,7 @@ class EquationDiagnostics:
     converged: bool
     n_iterations: int
     nll: float
+    kkt_residual: float  # largest |projected gradient| at the winner's end point
     active_constraints: list = field(default_factory=list)
     start_traces: list = field(default_factory=list)
 
@@ -360,17 +361,31 @@ def _bounds(cols, p: int) -> list:
     return [(0.0, B_MAX) if col == p else (0.0, A_MAX) for col in cols]
 
 
+def _kkt_residual(x: np.ndarray, grad: np.ndarray, bounds) -> float:
+    """Largest |projected gradient| over the box at x.
+
+    A coordinate within 1e-10 of a bound whose descent direction leaves the
+    box (g >= 0 at the lower bound, g <= 0 at the upper) counts as zero.
+    """
+    lo = np.array([-np.inf if b[0] is None else b[0] for b in bounds])
+    hi = np.array([np.inf if b[1] is None else b[1] for b in bounds])
+    held = ((x <= lo + 1e-10) & (grad >= 0.0)) | ((x >= hi - 1e-10) & (grad <= 0.0))
+    return float(np.max(np.abs(np.where(held, 0.0, grad)), initial=0.0))
+
+
 def _run_starts(objective, starts, bounds, max_iterations: int):
     """One L-BFGS-B run from every start.
 
     Returns the optimizer results and one trace record per start; picking
-    the winner is left to the caller.
+    the winner is left to the caller. Each result and trace carries the
+    ``kkt_residual`` of its end point, from the gradient there (``res.jac``).
     """
     results, traces = [], []
     for x0 in starts:
         res = minimize(objective, x0, jac=True, method="L-BFGS-B", bounds=bounds,
                        options={"maxiter": max_iterations,
                                 "gtol": GRAD_TOL, "ftol": 1e-14})
+        res.kkt_residual = _kkt_residual(res.x, res.jac, bounds)
         results.append(res)
         traces.append({
             "start": x0.copy(),
@@ -378,6 +393,7 @@ def _run_starts(objective, starts, bounds, max_iterations: int):
             "nll": float(res.fun),
             "iterations": int(res.nit),
             "evaluations": int(res.nfev),
+            "kkt_residual": res.kkt_residual,
             "message": str(res.message),
         })
     return results, traces
@@ -454,6 +470,7 @@ def fit_equation(Y: np.ndarray, gamma_hat, i: int,
         converged=bool(best.success),
         n_iterations=int(best.nit),
         nll=float(best.fun),
+        kkt_residual=best.kkt_residual,
         active_constraints=active,
         start_traces=traces,
     )
@@ -684,6 +701,7 @@ def fit_joint_qmle(X, cfg: OptimizerConfig = DEFAULT_CONFIG,
         converged=bool(best.success),
         n_iterations=int(best.nit),
         nll=float(best.fun),
+        kkt_residual=best.kkt_residual,
         active_constraints=active,
         start_traces=traces,
     )

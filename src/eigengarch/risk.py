@@ -94,10 +94,16 @@ class VaRBacktestReport:
     window: int
     n_forecasts: int
     refit_seconds: list = field(default_factory=list)  # process CPU s per refit
+    forecast_seconds: list = field(default_factory=list)  # process CPU s per origin
 
     @property
     def mean_refit_seconds(self) -> float:
         return float(np.mean(self.refit_seconds)) if self.refit_seconds else float("nan")
+
+    @property
+    def mean_forecast_seconds(self) -> float:
+        return (float(np.mean(self.forecast_seconds)) if self.forecast_seconds
+                else float("nan"))
 
     def to_dict(self) -> dict:
         return {
@@ -106,6 +112,7 @@ class VaRBacktestReport:
             "window": self.window,
             "n_forecasts": self.n_forecasts,
             "mean_refit_seconds": self.mean_refit_seconds,
+            "mean_forecast_seconds": self.mean_forecast_seconds,
             "portfolios": [pf.to_dict() for pf in self.portfolios],
         }
 
@@ -117,11 +124,46 @@ def standardized_residuals(fit: ModelFit, X,
 
     ``init`` is the filter's starting eigenvalues, as in ``filter_eigenvalues``.
     """
-    Xv = _panel_values(X)
-    Y = rotate_returns(Xv, fit.target.V)
-    lam_t = filter_eigenvalues(fit.spec(), Y, init=init)
-    Z = Y / np.sqrt(lam_t)
+    Y = rotate_returns(_panel_values(X), fit.target.V)
+    Z = Y / np.sqrt(filter_eigenvalues(fit.spec(), Y, init=init))
     return ResidualPanel(Z=Z, column_variances=Z.var(axis=0))
+
+
+def _scenarios(fit: ModelFit, Y: np.ndarray, lam_t: np.ndarray, Z: np.ndarray,
+               h: int, n_draws: int, rng_seed, Q: np.ndarray) -> np.ndarray:
+    """n_draws x m summed h-step returns of the m columns of ``V'project = Q``.
+
+    ``Y`` and ``lam_t`` are the window's rotated returns and eigenvalue
+    path, ``Z`` the rows that are drawn.
+    """
+    dynamics = fit.dynamics
+    A, b, W = dynamics.A, dynamics.b, fit.W
+    # one step ahead of the sample end is deterministic
+    lam_next = W + A @ (Y[-1] ** 2) + b * lam_t[-1]
+    rng = np.random.default_rng(rng_seed)
+    idx = rng.integers(0, Z.shape[0], size=(h, n_draws))
+    # the first step's variance is the same for every draw: project, then
+    # draw (np.take copies rows faster than fancy indexing does)
+    out = np.take(Z @ (np.sqrt(lam_next)[:, None] * Q), idx[0], axis=0)
+    if h > 1:
+        # later steps' variances differ per draw
+        lam, Yk = lam_next, np.sqrt(lam_next) * np.take(Z, idx[0], axis=0)
+        for k in range(1, h):
+            lam = W + Yk**2 @ A.T + lam * b
+            Yk = np.sqrt(lam) * np.take(Z, idx[k], axis=0)
+            out += Yk @ Q
+    return out
+
+
+def _reanchored(path: np.ndarray, s: int, powers: np.ndarray) -> np.ndarray:
+    """The n rows of ``path`` from row s as if the filter had started on row s.
+
+    ``path`` was filtered from lam0 = path[0], and ``powers`` is the n x p
+    matrix of b^k, k = 0, ..., n-1. The drive W + A y^2 does not depend on
+    the path, so a path restarted at lam0 on row s differs from it by
+    b^(t-s) (lam0 - path[s]) on row t.
+    """
+    return path[s:s + powers.shape[0]] + powers * (path[0] - path[s])
 
 
 @single_threaded
@@ -164,28 +206,13 @@ def fhs_cumulative_returns(
         )
     if not np.all(np.isfinite(project)):
         raise ValidationError("weights must be finite")
-    A, b, W = fit.dynamics.A, fit.dynamics.b, fit.W
     Y = rotate_returns(Xv, V)
     lam_t = filter_eigenvalues(fit.spec(), Y)
     if residuals is None:
         Z = Y / np.sqrt(lam_t)
     else:
         Z = np.atleast_2d(np.asarray(residuals, dtype=float))
-    # one step ahead of the sample end is deterministic
-    lam_next = W + A @ (Y[-1] ** 2) + b * lam_t[-1]
-    rng = np.random.default_rng(rng_seed)
-    idx = rng.integers(0, Z.shape[0], size=(h, n_draws))
-    Q = V.T @ project
-    # the first step's variance is the same for every draw: project, then draw
-    out = (Z @ (np.sqrt(lam_next)[:, None] * Q))[idx[0]]
-    if h > 1:
-        # later steps' variances differ per draw
-        lam, Yk = lam_next, np.sqrt(lam_next) * Z[idx[0]]
-        for k in range(1, h):
-            lam = W + Yk**2 @ A.T + lam * b
-            Yk = np.sqrt(lam) * Z[idx[k]]
-            out += Yk @ Q
-    return out
+    return _scenarios(fit, Y, lam_t, Z, h, n_draws, rng_seed, V.T @ project)
 
 
 @single_threaded
@@ -337,10 +364,19 @@ def rolling_backtest(
     scores the hit. Each origin draws one scenario set, from its own child
     of ``rng_seed``, and prices every portfolio from it: the portfolios'
     weights are stacked into the one ``project`` matrix of
-    ``fhs_cumulative_returns``. ``refit_seconds`` records each refit's process CPU time
-    (summed over threads), not its wall-clock time. A refit that does not
-    converge raises ConvergenceError naming its origin, the first row after
-    its window.
+    ``fhs_cumulative_returns``.
+
+    The path is filtered once per refit: over the rows from the refit
+    window's start to the last origin before the next refit, from the
+    filter's default start. Each later window takes its slice of that path,
+    re-anchored to the default start on its own first row, which equals
+    filtering the window on its own up to rounding. The refit origin itself
+    is forecast by a plain ``fhs_cumulative_returns`` call on its window.
+
+    ``refit_seconds`` records each refit's and ``forecast_seconds`` each
+    origin's process CPU time (summed over threads), not wall-clock time.
+    A refit that does not converge raises ConvergenceError naming its
+    origin, the first row after its window.
     """
     panel = X if isinstance(X, ReturnPanel) else ReturnPanel(
         np.atleast_2d(np.asarray(X, float)),
@@ -379,17 +415,19 @@ def rolling_backtest(
     weights = np.column_stack([w for _, w in port_w])
     ss = np.random.SeedSequence(rng_seed)
     forecast_seeds = ss.spawn(n_forecasts)
+    per_fit = -(-refit_every // horizon)  # origins forecast by one fit
 
     var_paths = np.empty((len(port_w), n_forecasts))
     realized = np.empty((len(port_w), n_forecasts))
-    refit_seconds = []
-    fit = None
-    since_refit = None
+    refit_seconds, forecast_seconds = [], []
+    carried = None  # the current fit's path and what its later origins share
     for k in range(n_forecasts):
         origin = window + k * horizon  # first out-of-sample row of the block
-        if fit is None or since_refit >= refit_every:
+        start = origin - window
+        if k % per_fit == 0:
+            carried = None  # freed before the refit allocates its own arrays
             t0 = time.process_time()
-            win = Xv[origin - window:origin]
+            win = Xv[start:origin]
             if method == "ste":
                 fit = fit_spectral_targeting(win, cfg, diag_a=diag_a)
             else:
@@ -397,21 +435,37 @@ def rolling_backtest(
             if not fit.converged:
                 raise ConvergenceError(
                     f"{fit.method} refit at origin {origin} (window rows "
-                    f"{origin - window} to {origin - 1}) did not converge",
+                    f"{start} to {origin - 1}) did not converge",
                     traces=[t for d in fit.diagnostics for t in d.start_traces],
                 )
             refit_seconds.append(time.process_time() - t0)
-            since_refit = 0
-        since_refit += horizon
-        history = Xv[max(0, origin - window):origin]
-        block = Xv[origin:origin + horizon]
-        # one scenario set per origin, priced for every portfolio
-        draws = fhs_cumulative_returns(
-            fit, history, h=horizon, n_draws=n_draws, rng_seed=forecast_seeds[k],
-            project=weights,
-        )
-        for j, (_, w) in enumerate(port_w):
+            t0 = time.process_time()
+            # one scenario set per origin, priced for every portfolio
+            draws = fhs_cumulative_returns(
+                fit, win, h=horizon, n_draws=n_draws, rng_seed=forecast_seeds[k],
+                project=weights,
+            )
+            last = min(k + per_fit, n_forecasts) - 1
+            if last > k:
+                # the fit's later windows are re-anchored slices of one path
+                # over the rows from this window's start to the last origin
+                Y = rotate_returns(Xv[start:window + last * horizon], fit.target.V)
+                carried = (start, Y, filter_eigenvalues(fit.spec(), Y),
+                           fit.dynamics.b ** np.arange(window)[:, None],
+                           fit.target.V.T @ weights)
+        else:
+            t0 = time.process_time()
+            first, Y, path, powers, Q = carried
+            s = start - first
+            lam_t = _reanchored(path, s, powers)
+            Ys = Y[s:s + window]
+            draws = _scenarios(fit, Ys, lam_t, Ys / np.sqrt(lam_t), horizon,
+                               n_draws, forecast_seeds[k], Q)
+        for j in range(len(port_w)):
             var_paths[j, k] = var_from_distribution(draws[:, j], alpha)
+        forecast_seconds.append(time.process_time() - t0)
+        block = Xv[origin:origin + horizon]
+        for j, (_, w) in enumerate(port_w):
             realized[j, k] = float((block @ w).sum())
 
     portfolios = []
@@ -440,4 +494,5 @@ def rolling_backtest(
         window=window,
         n_forecasts=n_forecasts,
         refit_seconds=refit_seconds,
+        forecast_seconds=forecast_seconds,
     )

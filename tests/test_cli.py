@@ -82,6 +82,7 @@ class TestEstimate:
         for traces in fit["start_traces"]:
             assert len(traces) == 3
             assert all(t["evaluations"] > t["iterations"] for t in traces)
+            assert all(t["kkt_residual"] >= 0.0 for t in traces)
 
     def test_qmle_method(self, sim_dir, tmp_path):
         assert run(["estimate", "--input", sim_dir / "panel.csv",
@@ -173,6 +174,7 @@ class TestBacktest:
                     "--n-draws", "1500", "--seed", "2", "--out", tmp_path]) == 0
         report = json.loads((tmp_path / "backtest.json").read_text())
         assert report["n_forecasts"] == 200
+        assert report["mean_forecast_seconds"] >= 0.0
         assert report["portfolios"][0]["pi_hat"] <= 1.0
         with open(tmp_path / "var_paths.csv") as fh:
             rows = list(csv.reader(fh))

@@ -328,6 +328,23 @@ class TestFitEquation:
         _, diag = fit_equation(Y, lam, 1, OptimizerConfig(starts=starts))
         assert len(diag.start_traces) == 4
 
+    @pytest.mark.parametrize("diag_a", [True, False])
+    def test_kkt_residual_is_the_projected_score(self, diag_a):
+        # each start run on its own, so its end point is the returned kappa
+        X = simulate_path(diagonal_benchmark_spec(3), T=1500, burn_in=500, rng_seed=4)
+        target = fit_spectral_targeting(X, diag_a=diag_a).target
+        Y = rotate_returns(X, target.V)
+        free = np.flatnonzero(_free_mask(3, diag_a)[1])
+        upper = np.where(free == 3, estimation.B_MAX, estimation.A_MAX)
+        for scheme in estimation.START_SCHEMES:
+            cfg = OptimizerConfig(starts=[estimation._start_kappas(3, *scheme)[1]])
+            kappa, diag = fit_equation(Y, target, 1, cfg, diag_a=diag_a)
+            g, x = equation_score(kappa, target, Y, 1)[free], kappa[free]
+            held = ((x <= 1e-10) & (g >= 0)) | ((x >= upper - 1e-10) & (g <= 0))
+            expected = np.abs(np.where(held, 0.0, g)).max()
+            assert diag.kkt_residual == diag.start_traces[0]["kkt_residual"]
+            assert diag.kkt_residual == pytest.approx(expected, rel=1e-6, abs=1e-12)
+
     @pytest.mark.parametrize("i", [-1, 2])
     def test_rejects_out_of_range_equation(self, i):
         rng = np.random.default_rng(3)
@@ -444,9 +461,11 @@ class TestJointQMLE:
         ste = fit_spectral_targeting(X, diag_a=True)
         qmle = fit_joint_qmle(X, diag_a=True)
         assert len(qmle.diagnostics[0].start_traces) == 2
-        keys = {"start", "success", "nll", "iterations", "evaluations", "message"}
+        keys = {"start", "success", "nll", "iterations", "evaluations", "kkt_residual",
+                "message"}
         for d in ste.diagnostics + qmle.diagnostics:
             assert all(set(t) == keys for t in d.start_traces)
+            assert d.kkt_residual in [t["kkt_residual"] for t in d.start_traces]
 
 
 class TestConsistencyScaling:

@@ -19,7 +19,8 @@ from eigengarch import (
     standardized_residuals,
     var_from_distribution,
 )
-from eigengarch.estimation import ModelFit, OptimizerConfig
+from eigengarch import risk
+from eigengarch.estimation import B_MAX, ModelFit, OptimizerConfig, fit_joint_qmle
 from eigengarch.experiments import density_case_spec, diagonal_benchmark_spec
 from eigengarch.model import filter_eigenvalues
 from eigengarch.panel import bundled_weights_path, load_weights_csv
@@ -230,6 +231,67 @@ class TestProjectedScenarios:
             np.testing.assert_allclose(pf.var_path, var_paths[j], rtol=1e-12)
             np.testing.assert_array_equal(pf.hits, hit_sequence(realized[j], var_paths[j]))
 
+    # a full A, and the joint QMLE; 23 origins in blocks of 10, 10 and 3
+    @pytest.mark.parametrize("method, diag_a", [("ste", False), ("qmle", True)])
+    def test_backtest_matches_per_origin_forecasts_at_horizon_1(self, method, diag_a):
+        p, window, n, refit_every, alpha = 3, 300, 23, 10, 0.05
+        spec = diagonal_benchmark_spec(p)
+        X = simulate_path(spec, T=window + n, burn_in=300, rng_seed=12)
+        weights = np.column_stack([np.full(p, 1.0 / p), np.linspace(1.0, -0.5, p)])
+        report = rolling_backtest(X, list(weights.T), window=window, alpha=alpha,
+                                  refit_every=refit_every, method=method,
+                                  diag_a=diag_a, n_draws=1000, rng_seed=4)
+        assert len(report.refit_seconds) == 3
+        fitter = fit_spectral_targeting if method == "ste" else fit_joint_qmle
+        seeds = np.random.SeedSequence(4).spawn(n)
+        var_paths = np.empty((2, n))
+        for k in range(n):
+            origin = window + k
+            if k % refit_every == 0:
+                fit = fitter(X[origin - window:origin], diag_a=diag_a)
+            draws = fhs_cumulative_returns(fit, X[origin - window:origin], n_draws=1000,
+                                           rng_seed=seeds[k], project=weights)
+            var_paths[:, k] = [var_from_distribution(d, alpha) for d in draws.T]
+        realized = (X[window:] @ weights).T
+        for j, pf in enumerate(report.portfolios):
+            np.testing.assert_allclose(pf.var_path, var_paths[j], rtol=1e-12)
+            np.testing.assert_array_equal(pf.hits, hit_sequence(realized[j], var_paths[j]))
+
+    def test_no_look_ahead(self):
+        # rows from origin k on change: the VaR of origins 0..k does not
+        spec = diagonal_benchmark_spec(3)
+        window, n, refit_every = 300, 20, 6
+        X = simulate_path(spec, T=window + n, burn_in=300, rng_seed=13)
+        kwargs = dict(window=window, refit_every=refit_every, diag_a=True,
+                      n_draws=1000, rng_seed=2)
+        base = rolling_backtest(X, [np.ones(3)], **kwargs).portfolios[0].var_path
+        for k in (8, 12):  # inside a fit's block, and at a refit origin
+            Xk = X.copy()
+            Xk[window + k:] *= 3.0
+            var_path = rolling_backtest(Xk, [np.ones(3)], **kwargs).portfolios[0].var_path
+            np.testing.assert_array_equal(var_path[:k + 1], base[:k + 1])
+            assert not np.array_equal(var_path, base)
+
+
+class TestReanchoredPath:
+    @pytest.mark.parametrize("b, full_a", [
+        (0.0, False), (0.5, False), (0.95, False), (B_MAX, False), (0.9, True),
+    ])
+    def test_equals_a_filter_started_on_the_window(self, b, full_a):
+        p, T, n = 3, 700, 300
+        rng = np.random.default_rng(6)
+        A = 0.04 * np.eye(p) + (0.01 if full_a else 0.0) * (1.0 - np.eye(p))
+        dyn = DynamicsParams(A=A, b=np.full(p, b), diag_a=not full_a)
+        W = np.array([0.01, 0.02, 0.03]) * (1.0 - min(b, 0.95))
+        spec = ModelSpec(V=np.eye(p), dynamics=dyn, W=W, lam=np.array([0.5, 1.0, 2.0]))
+        Y = rng.standard_normal((T, p)) * np.sqrt([0.5, 1.0, 2.0])
+        path = filter_eigenvalues(spec, Y)
+        powers = dyn.b ** np.arange(n)[:, None]
+        np.testing.assert_array_equal(powers[0], 1.0)  # 0.0 ** 0 is 1
+        for s in (0, 1, 7, 150, 399, T - n):
+            np.testing.assert_allclose(risk._reanchored(path, s, powers),
+                                       filter_eigenvalues(spec, Y[s:s + n]), rtol=1e-13)
+
 
 class TestVarFromDistribution:
     def test_constructed_quantile(self):
@@ -386,6 +448,10 @@ class TestRollingBacktest:
         payload = report.to_dict()
         assert payload["window"] == 200 and payload["horizon"] == 1
         assert len(report.refit_seconds) == 2
+        assert len(report.forecast_seconds) == report.n_forecasts
+        assert all(s >= 0.0 for s in report.forecast_seconds)
+        assert payload["mean_forecast_seconds"] == pytest.approx(
+            np.mean(report.forecast_seconds))
 
     def test_five_day_non_overlapping_blocks(self):
         X = simulate_path(density_case_spec(1), T=500 + 5 * 25, burn_in=100,

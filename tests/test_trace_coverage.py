@@ -1,0 +1,28 @@
+"""The benchmark tracer still sees every layer the package's calls pass through.
+
+``perfbench/tracing.py`` times the package from outside by patching module
+attributes. A refactor that routes a layer around the patched names leaves
+its per-layer metric empty, and a traced benchmark run then reports
+``correct: false``. The warm-up call of ``perfbench/workloads.py`` touches
+every layer once, so all metrics must come out of it.
+"""
+
+import sys
+from pathlib import Path
+
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+
+
+def test_warm_up_gives_every_layer_metric(tmp_path, monkeypatch):
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    import tracing
+    import workloads
+
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        workloads.warm_up(tmp_path)
+    finally:
+        tracer.uninstall()
+    metrics, _ = tracing.layer_metrics(tracer.spans)
+    assert sorted(set(tracing.LAYER_METRICS) - set(metrics)) == []

@@ -51,9 +51,17 @@ GRAD_TOL = 1e-9        # L-BFGS-B projected-gradient tolerance
 A_MAX = 1.0            # upper bound of every ARCH loading
 B_MAX = 1.0 - 1e-6     # upper bound of every persistence coefficient
 W_FLOOR_REL = 1e-10    # smallest feasible intercept, relative to its target
-# start schemes (own ARCH loading, other ARCH loadings, persistence): the
-# equation fits run all three, the joint QMLE the first two
+KKT_TOL = 1e-6         # box KKT residual at which a diagonal-A profile fit has converged
+# start schemes (own ARCH loading, other ARCH loadings, persistence): full-A
+# equation fits run all three, as does a diagonal-A fit whose profile search
+# does not converge; the joint QMLE runs the first two
 START_SCHEMES = ((0.05, 0.01, 0.85), (0.10, 0.0, 0.80), (0.02, 0.0, 0.90))
+# persistence grid of the diagonal-A profile search: linear up to 0.8, then
+# geometric toward 1, where the profile's minima crowd
+PROFILE_B_GRID = np.concatenate([np.linspace(0.0, 0.8, 10, endpoint=False),
+                                 1.0 - np.geomspace(0.2, 0.002, 10)])
+PROFILE_NEWTON_STEPS = 12  # cap on the grid's Newton steps in a
+POLISH_STEPS = 50          # cap on the projected-Newton steps of one polish
 
 
 @dataclass(frozen=True)
@@ -140,18 +148,20 @@ def _as_lam(gamma) -> np.ndarray:
     return np.atleast_1d(np.asarray(gamma, dtype=float))
 
 
-def _lam_derivs(Y2: np.ndarray, lam_vec: np.ndarray, i: int, b: float,
+def _lam_derivs(Z: np.ndarray, z_lam: np.ndarray, lam_i: float, b: float,
                 lam: np.ndarray) -> np.ndarray:
-    """d lam_t / d kappa for every t (T x (p+1)); the initial value is kappa-free.
+    """d lam_t / d (a, b) for every t (T x (k+1)); the initial value is kappa-free.
 
-    Row t >= 1 is driven by [Y2_{t-1} - lam, lam_{t-1} - lam_i], the direct
-    partials of lam_t, carried forward by the b-lagged recursion.
+    Z (T x k) holds the squared rotated returns of the loadings a and z_lam
+    their targets, as in ``_equation_kernel``. Row t >= 1 is driven by
+    [Z_{t-1} - z_lam, lam_{t-1} - lam_i], the direct partials of lam_t,
+    carried forward by the b-lagged recursion.
     """
-    T, p = Y2.shape
-    x = np.empty((T, p + 1))
+    T, k = Z.shape
+    x = np.empty((T, k + 1))
     x[0] = 0.0
-    x[1:, :p] = Y2[:-1] - lam_vec
-    x[1:, p] = lam[:-1] - lam_vec[i]
+    x[1:, :k] = Z[:-1] - z_lam
+    x[1:, k] = lam[:-1] - lam_i
     return linear_recursion(x, b)
 
 
@@ -221,15 +231,39 @@ def _check_kappa(kappa, p: int, i) -> np.ndarray:
     return kappa
 
 
+def _kernel_hessian(x: np.ndarray, Z: np.ndarray, z_lam: np.ndarray, y2: np.ndarray,
+                    lam_i: float, lam: np.ndarray, r: np.ndarray) -> np.ndarray:
+    """Hessian of ``_equation_kernel``'s criterion in the same free coordinates.
+
+    lam and r are the kernel's path and adjoint at x. The second derivatives
+    of the path vanish in the a-a block; in the a-b and b-b blocks they are
+    driven by dlam_{t-1} (once for a_j-b, twice for b-b), so they contract
+    against the adjoint r, which carries the score weights back in time.
+    """
+    T, k = Z.shape
+    n = x.shape[0]
+    dlam = _lam_derivs(Z, z_lam, lam_i, float(x[k]) if n > k else 0.0, lam)[:, :n]
+    w2 = (2.0 * y2 / lam - 1.0) / (lam * lam)  # multiplies dlam outer products
+    hess = (dlam * w2[:, None]).T @ dlam / T
+    if n > k:
+        cross = r[1:] @ dlam[:-1]
+        cross[k] *= 2.0
+        hess[:k, k] += cross[:k]
+        hess[k, :k] += cross[:k]
+        hess[k, k] += cross[k]
+    return hess
+
+
 def _full_width(kappa, gamma, Y: np.ndarray, i: int):
-    """Checked kappa, targets, squared returns, then value, gradient and path.
+    """Checked kappa, targets, squared returns, then the kernel's value,
+    gradient, path and adjoint.
 
     The kernel runs over every ARCH column, whichever entries are zero.
     """
     lam_vec = _as_lam(gamma)
     kappa = _check_kappa(kappa, lam_vec.shape[0], i)
     Y2 = np.atleast_2d(np.asarray(Y, dtype=float)) ** 2
-    return (kappa, lam_vec, Y2) + _equation_kernel(kappa, Y2, lam_vec, Y2[:, i], lam_vec[i])[:3]
+    return (kappa, lam_vec, Y2) + _equation_kernel(kappa, Y2, lam_vec, Y2[:, i], lam_vec[i])
 
 
 def equation_nll(kappa, gamma, Y: np.ndarray, i: int) -> float:
@@ -248,7 +282,7 @@ def equation_score(kappa, gamma, Y: np.ndarray, i: int) -> np.ndarray:
     contributes; its adjoint follows the same b-lagged recursion as the path,
     run backward in time.
     """
-    *_, grad, lam = _full_width(kappa, gamma, Y, i)
+    *_, grad, lam, _ = _full_width(kappa, gamma, Y, i)
     if lam is None:
         raise ValidationError("score requested at an infeasible point")
     return grad
@@ -256,10 +290,10 @@ def equation_score(kappa, gamma, Y: np.ndarray, i: int) -> np.ndarray:
 
 def _forward_derivs(kappa, gamma, Y: np.ndarray, i: int):
     """Checked kappa, squared returns, path and forward kappa-derivatives."""
-    kappa, lam_vec, Y2, _, _, lam = _full_width(kappa, gamma, Y, i)
+    kappa, lam_vec, Y2, _, _, lam, _ = _full_width(kappa, gamma, Y, i)
     if lam is None:
         raise ValidationError("derivatives requested at an infeasible point")
-    return kappa, Y2, lam, _lam_derivs(Y2, lam_vec, i, float(kappa[-1]), lam)
+    return kappa, Y2, lam, _lam_derivs(Y2, lam_vec, lam_vec[i], float(kappa[-1]), lam)
 
 
 def equation_score_contributions(kappa, gamma, Y: np.ndarray, i: int) -> np.ndarray:
@@ -274,24 +308,12 @@ def equation_score_contributions(kappa, gamma, Y: np.ndarray, i: int) -> np.ndar
 def equation_kappa_hessian(kappa, gamma, Y: np.ndarray, i: int) -> np.ndarray:
     """Analytic (1/T) sum_t d^2 l_t / dkappa dkappa' at the given point.
 
-    Only the eigenvalue path depends on kappa; its second derivatives vanish
-    in the a-a block, and their b-lagged recursions for the a-b and b-b
-    terms are contracted through the adjoint of the score weights.
+    Only the eigenvalue path depends on kappa (see ``_kernel_hessian``).
     """
-    kappa, Y2, lam, dlam = _forward_derivs(kappa, gamma, Y, i)
-    T, p = Y2.shape
-    y2 = Y2[:, i]
-    w1 = (1.0 - y2 / lam) / lam                # multiplies d2lam
-    w2 = (2.0 * y2 / lam - 1.0) / (lam * lam)  # multiplies dlam outer products
-    hess = (dlam * w2[:, None]).T @ dlam / T
-    # d2lam_t is driven by dlam_{t-1}: once for a_j-b, twice for b-b
-    rho = linear_recursion(w1, float(kappa[p]), reverse=True)
-    cross = rho[1:] @ dlam[:-1] / T
-    cross[p] *= 2.0
-    hess[:p, p] += cross[:p]
-    hess[p, :p] += cross[:p]
-    hess[p, p] += cross[p]
-    return hess
+    kappa, lam_vec, Y2, _, _, lam, r = _full_width(kappa, gamma, Y, i)
+    if lam is None:
+        raise ValidationError("derivatives requested at an infeasible point")
+    return _kernel_hessian(kappa, Y2, lam_vec, Y2[:, i], lam_vec[i], lam, r)
 
 
 def equation_cross_hessian(kappa, target: SpectralTarget, X: np.ndarray,
@@ -361,16 +383,17 @@ def _bounds(cols, p: int) -> list:
     return [(0.0, B_MAX) if col == p else (0.0, A_MAX) for col in cols]
 
 
-def _kkt_residual(x: np.ndarray, grad: np.ndarray, bounds) -> float:
-    """Largest |projected gradient| over the box at x.
+def _held(x: np.ndarray, grad: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """Coordinates within 1e-10 of a bound whose descent direction leaves the
+    box (g >= 0 at the lower bound, g <= 0 at the upper)."""
+    return ((x <= lo + 1e-10) & (grad >= 0.0)) | ((x >= hi - 1e-10) & (grad <= 0.0))
 
-    A coordinate within 1e-10 of a bound whose descent direction leaves the
-    box (g >= 0 at the lower bound, g <= 0 at the upper) counts as zero.
-    """
+
+def _kkt_residual(x: np.ndarray, grad: np.ndarray, bounds) -> float:
+    """Largest |projected gradient| over the box at x; held coordinates count as zero."""
     lo = np.array([-np.inf if b[0] is None else b[0] for b in bounds])
     hi = np.array([np.inf if b[1] is None else b[1] for b in bounds])
-    held = ((x <= lo + 1e-10) & (grad >= 0.0)) | ((x >= hi - 1e-10) & (grad <= 0.0))
-    return float(np.max(np.abs(np.where(held, 0.0, grad)), initial=0.0))
+    return float(np.max(np.abs(np.where(_held(x, grad, lo, hi), 0.0, grad)), initial=0.0))
 
 
 def _run_starts(objective, starts, bounds, max_iterations: int):
@@ -399,6 +422,138 @@ def _run_starts(objective, starts, bounds, max_iterations: int):
     return results, traces
 
 
+def _profile_on_grid(y2: np.ndarray, lam_i: float, grid: np.ndarray):
+    """Own loading minimizing the diagonal-A criterion at each b in ``grid``,
+    and the criterion there: the profile P(b) at the grid points.
+
+    Under targeting the path is affine in the loading for fixed b,
+    lam_t = lam_i + a v_t(b), where v(b) is the b-recursion of
+    [0, y2_{t-1} - lam_i]; at a = 0 it is lam_i whatever b. Each column then
+    takes a safeguarded Newton search in a on [0, min(A_MAX, 1 - b -
+    W_FLOOR_REL)), all columns at once, within a bracket [lo, hi] whose
+    ends have the slope pointing inward (bisection when the Newton step
+    leaves it or the curvature is not positive).
+    """
+    T = y2.shape[0]
+    drive = np.empty(T)
+    drive[0] = 0.0
+    drive[1:] = y2[:-1] - lam_i
+    V = np.empty((grid.shape[0], T))
+    for g, b in enumerate(grid):
+        V[g] = linear_recursion(drive, b)
+    a = np.zeros(grid.shape[0])
+    lo, hi = a.copy(), np.minimum(A_MAX, 1.0 - grid - W_FLOOR_REL)
+    q = y2 / lam_i  # the path is lam_i at a = 0
+    slope = V @ (1.0 - q) / (T * lam_i)
+    curv = (V * V) @ (2.0 * q - 1.0) / (T * lam_i * lam_i)
+    lam, q = np.full(V.shape, lam_i), np.broadcast_to(q, V.shape)
+    for _ in range(PROFILE_NEWTON_STEPS):
+        lo = np.where(slope < 0.0, a, lo)
+        hi = np.where(slope > 0.0, a, hi)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            step = a - slope / curv
+        newton = (curv > 0.0) & (step > lo) & (step < hi)
+        nxt = np.where(newton, step, 0.5 * (lo + hi))
+        if np.abs(nxt - a).max() <= 1e-9:
+            break
+        a = nxt
+        lam = lam_i + a[:, None] * V
+        s = V / lam
+        q = y2 / lam
+        slope = (s.sum(axis=1) - np.einsum("gt,gt->g", s, q)) / T
+        s *= s
+        curv = (2.0 * np.einsum("gt,gt->g", s, q) - s.sum(axis=1)) / T
+    return a, (np.log(lam).sum(axis=1) + q.sum(axis=1)) / T
+
+
+def _projected_newton(x: np.ndarray, kernel, hessian, hi: np.ndarray):
+    """Projected Newton (Bertsekas, 1982) on the box [0, hi] from x.
+
+    Coordinates held at a bound stay there; the others take the Newton step
+    of their block of the exact Hessian, its eigenvalues taken in absolute
+    value so that the step descends, and a projected Armijo search along
+    it. Once the step's predicted decrease is at the criterion's rounding
+    level, the full step is kept only while it halves the box KKT residual.
+    Stops when that residual is at most ``GRAD_TOL`` or no step makes
+    progress. Returns the end point, the kernel's value and gradient there,
+    and the numbers of steps and evaluations.
+    """
+    lo = np.zeros_like(hi)
+
+    def residual(x, grad):
+        return np.abs(grad[~_held(x, grad, lo, hi)]).max(initial=0.0)
+
+    value, grad, lam, r = kernel(x)
+    steps, evals = 0, 1
+    while steps < POLISH_STEPS:
+        kkt = residual(x, grad)
+        if kkt <= GRAD_TOL:
+            break
+        free = ~_held(x, grad, lo, hi)
+        w, Q = np.linalg.eigh(hessian(x, lam, r)[np.ix_(free, free)])
+        w = np.maximum(np.abs(w), 1e-12 * np.abs(w).max(initial=1.0))
+        d = np.zeros_like(x)
+        d[free] = -Q @ ((Q.T @ grad[free]) / w)
+        if -float(grad @ d) <= 10.0 * np.finfo(float).eps * max(abs(value), 1.0):
+            trial = np.clip(x + d, lo, hi)
+            out = kernel(trial)
+            evals += 1
+            if out[2] is None or residual(trial, out[1]) > 0.5 * kkt:
+                break
+        else:
+            for _ in range(40):
+                trial = np.clip(x + d, lo, hi)
+                out = kernel(trial)
+                evals += 1
+                if out[2] is not None and out[0] < value + 1e-4 * float(grad @ (trial - x)):
+                    break
+                d *= 0.5
+            else:
+                break
+        x = trial
+        value, grad, lam, r = out
+        steps += 1
+    return x, value, grad, steps, evals
+
+
+def _profile_fit(kernel, hessian, y2: np.ndarray, lam_i: float, bounds, fit_b: bool,
+                 max_iterations: int):
+    """Diagonal-A equation fit on the profile over b.
+
+    The profile is evaluated on ``PROFILE_B_GRID`` (the single point b = 0
+    without ``fit_b``), every grid minimum of it is polished by projected
+    Newton in the free coordinates, and one L-BFGS-B run confirms the best
+    end point. Returns the confirmation result, or None when its box KKT
+    residual exceeds ``KKT_TOL``, and one trace per polished minimum; each
+    trace's start is its grid point and its iterations and evaluations count
+    the polish too.
+    """
+    grid = PROFILE_B_GRID if fit_b else np.zeros(1)
+    a, prof = _profile_on_grid(y2, lam_i, grid)
+    left = np.append(True, prof[1:] < prof[:-1])
+    right = np.append(prof[:-1] <= prof[1:], True)
+    hi = np.array([b[1] for b in bounds])
+    ends, traces = [], []
+    for g in np.flatnonzero(left & right):
+        start = np.array([a[g], grid[g]])[:len(bounds)]
+        x, value, grad, steps, evals = _projected_newton(start, kernel, hessian, hi)
+        kkt = _kkt_residual(x, grad, bounds)
+        ends.append(x)
+        traces.append({"start": start, "success": kkt <= KKT_TOL, "nll": float(value),
+                       "iterations": steps, "evaluations": evals, "kkt_residual": kkt,
+                       "message": "projected Newton polish"})
+    best = int(np.argmin([t["nll"] for t in traces]))
+    polish = traces[best]
+    (res,), (trace,) = _run_starts(lambda x: kernel(x)[:2], [ends[best]], bounds,
+                                   max_iterations)
+    res.nit += polish["iterations"]
+    res.success = res.kkt_residual <= KKT_TOL
+    trace.update(start=polish["start"], success=res.success, iterations=res.nit,
+                 evaluations=trace["evaluations"] + polish["evaluations"])
+    traces[best] = trace
+    return (res if res.success else None), traces
+
+
 def _repair_start(kappa: np.ndarray, lam_vec: np.ndarray, i: int,
                   floor: float) -> np.ndarray:
     """Shrink a start toward zero dynamics until the intercept is feasible."""
@@ -418,10 +573,23 @@ def fit_equation(Y: np.ndarray, gamma_hat, i: int,
                  diag_a: bool = False, fit_b: bool = True):
     """Fit the dynamic coefficients of rotated return i given the targets.
 
-    Box-constrained L-BFGS-B with the analytic score and multi-start; the
-    implied-intercept constraint is enforced through a smooth pull-back that
-    leaves the criterion untouched at feasible points. Each start trace
-    records the start in the free coordinates.
+    Box-constrained L-BFGS-B with the analytic score; the implied-intercept
+    constraint is enforced through a smooth pull-back that leaves the
+    criterion untouched at feasible points. A full A, or explicit
+    ``cfg.starts``, runs every start (by default the three
+    ``START_SCHEMES``), and the best converged run wins.
+
+    A diagonal A without ``cfg.starts`` is fitted on the profile over b
+    (``_profile_fit``): a Newton search in a at every point of
+    ``PROFILE_B_GRID`` (b = 0 alone without ``fit_b``), a projected-Newton
+    polish of every grid minimum of the profile, and one L-BFGS-B run from
+    the best polished point. It has converged when that run's box KKT
+    residual is at most ``KKT_TOL``, whatever the optimizer's message;
+    otherwise the three ``START_SCHEMES`` are run after it as above, and
+    their traces follow the polish traces.
+
+    Each start trace records the start in the free coordinates: for a
+    polished profile minimum, its grid point.
 
     Returns (kappa, EquationDiagnostics), kappa = [a_i1, ..., a_ip, b_i].
     """
@@ -436,16 +604,27 @@ def fit_equation(Y: np.ndarray, gamma_hat, i: int,
     y2 = Y[:, i] ** 2
     Z, z_lam = (y2[:, None], lam_vec[[i]]) if diag_a else (Y**2, lam_vec)
 
-    def objective(free_vals):
-        return _equation_kernel(free_vals, Z, z_lam, y2, lam_vec[i])[:2]
+    def kernel(free_vals):
+        return _equation_kernel(free_vals, Z, z_lam, y2, lam_vec[i])
 
-    if cfg.starts is not None:
-        starts = [np.asarray(s, dtype=float) for s in cfg.starts]
-    else:
-        starts = [_start_kappas(p, *scheme)[i] for scheme in START_SCHEMES]
-    starts = [_repair_start(np.where(keep, s, 0.0), lam_vec, i, floor)[free]
-              for s in starts]
-    results, traces = _run_starts(objective, starts, bounds, cfg.max_iterations)
+    def objective(free_vals):
+        return kernel(free_vals)[:2]
+
+    results, traces = [], []
+    if diag_a and cfg.starts is None:
+        best, traces = _profile_fit(
+            kernel, lambda x, lam, r: _kernel_hessian(x, Z, z_lam, y2, lam_vec[i], lam, r),
+            y2, lam_vec[i], bounds, fit_b, cfg.max_iterations)
+        results = [best] if best is not None else []
+    if not results:
+        if cfg.starts is not None:
+            starts = [np.asarray(s, dtype=float) for s in cfg.starts]
+        else:
+            starts = [_start_kappas(p, *scheme)[i] for scheme in START_SCHEMES]
+        starts = [_repair_start(np.where(keep, s, 0.0), lam_vec, i, floor)[free]
+                  for s in starts]
+        results, more = _run_starts(objective, starts, bounds, cfg.max_iterations)
+        traces += more
     converged = [res for res in results if res.success]
     if not converged:
         raise ConvergenceError(

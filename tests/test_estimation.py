@@ -8,6 +8,7 @@ from eigengarch import (
     ModelSpec,
     OptimizerConfig,
     ValidationError,
+    eigen_sym,
     equation_nll,
     equation_score,
     fit_equation,
@@ -22,6 +23,7 @@ from eigengarch import estimation
 from eigengarch.estimation import (
     _equation_kernel,
     _free_mask,
+    _kernel_hessian,
     _joint_nll_grad,
     _lam_derivs,
     _match_angles,
@@ -186,7 +188,7 @@ class TestAdjointGradients:
             assert value == equation_nll(kappa, lam_vec, X, i)
             assert np.array_equal(grad, equation_score(kappa, lam_vec, X, i))
             weights = (1.0 - Y2[:, i] / lam) / lam
-            ref = weights @ _lam_derivs(Y2, lam_vec, i, kappa[p], lam) / T
+            ref = weights @ _lam_derivs(Y2, lam_vec, lam_vec[i], kappa[p], lam) / T
             assert value == np.mean(np.log(lam) + Y2[:, i] / lam)
             assert np.abs(grad - ref).max() <= 1e-12 * np.abs(ref).max()
             if not diag_a:
@@ -360,6 +362,86 @@ class TestFitEquation:
             OptimizerConfig(max_iterations=0)
         with pytest.raises(ValidationError):
             OptimizerConfig(starts=[])
+
+
+class TestDiagonalProfileFit:
+    """Diagonal-A fits on the profile over b, against the three fixed starts."""
+
+    @staticmethod
+    def rotated(X):
+        target = eigen_sym(sample_covariance(X))
+        return rotate_returns(X, target.V), target
+
+    @pytest.mark.parametrize("k, origin, i, best", [
+        (3, 1350, 22, 1.8263014),  # three starts: 1.8266645, KKT residual 0.128
+        (2, 1200, 16, 1.4847843),  # three starts: 1.4851130, KKT residual 0.0145
+    ])
+    def test_reaches_the_optimum_the_three_starts_miss(self, k, origin, i, best):
+        X = simulate_path(diagonal_benchmark_spec(25), T=1450, burn_in=1000,
+                          rng_seed=np.random.SeedSequence(5).spawn(6)[k])
+        Y, target = self.rotated(X[origin - 1200:origin])
+        _, diag = fit_equation(Y, target, i, diag_a=True)
+        assert diag.converged
+        assert diag.nll <= best + 1e-7
+        assert diag.kkt_residual <= estimation.KKT_TOL
+
+    @pytest.mark.parametrize("fit_b", [True, False])
+    @pytest.mark.parametrize("p", [3, 5])
+    def test_never_above_the_three_starts(self, p, fit_b):
+        for seed in range(3):
+            X = simulate_path(diagonal_benchmark_spec(p), T=800, burn_in=500, rng_seed=seed)
+            Y, target = self.rotated(X)
+            for i in range(p):
+                starts = [estimation._start_kappas(p, *s)[i] for s in estimation.START_SCHEMES]
+                _, three = fit_equation(Y, target, i, OptimizerConfig(starts=starts),
+                                        diag_a=True, fit_b=fit_b)
+                _, diag = fit_equation(Y, target, i, diag_a=True, fit_b=fit_b)
+                assert diag.nll <= three.nll + 1e-9
+                assert diag.kkt_residual <= estimation.KKT_TOL
+                best = [t for t in diag.start_traces if t["nll"] == diag.nll]
+                assert best and best[0]["success"]
+
+    @pytest.mark.parametrize("fit_b", [True, False])
+    def test_static_truth_reports_the_face(self, fit_b):
+        # at a = 0 the path is lam_i whatever b, so the fit must stop on the
+        # face with the static criterion; on this panel equations 1 and 2 do
+        lam = np.array([0.5, 1.0, 2.0])
+        dyn = DynamicsParams(A=np.zeros((3, 3)), b=np.zeros(3), diag_a=True)
+        X = simulate_path(ModelSpec.from_intercepts(np.eye(3), lam, dyn), T=2000,
+                          burn_in=100, rng_seed=2)
+        fit = fit_spectral_targeting(X, diag_a=True, fit_b=fit_b)
+        Y = rotate_returns(X, fit.target.V)
+        for i in (1, 2):
+            assert f"a[{i}]=lower" in fit.diagnostics[i].active_constraints
+            assert fit.equation_nlls[i] == equation_nll(np.zeros(4), fit.target, Y, i)
+
+    @pytest.mark.parametrize("fit_b", [True, False])
+    def test_free_column_hessian_is_the_full_block(self, fit_b):
+        X = simulate_path(diagonal_benchmark_spec(3), T=800, burn_in=500, rng_seed=0)
+        Y, target = self.rotated(X)
+        i, lam = 1, target.lam
+        free = [i, 3] if fit_b else [i]
+        kappa = np.zeros(4)
+        kappa[free] = [0.07, 0.8][:len(free)]
+        y2 = Y[:, i] ** 2
+        x = kappa[free]
+        *_, path, r = _equation_kernel(x, y2[:, None], lam[[i]], y2, lam[i])
+        hess = _kernel_hessian(x, y2[:, None], lam[[i]], y2, lam[i], path, r)
+        full = estimation.equation_kappa_hessian(kappa, lam, Y, i)[np.ix_(free, free)]
+        np.testing.assert_allclose(hess, full, rtol=1e-12, atol=0)
+
+    def test_falls_back_to_the_three_starts(self, monkeypatch):
+        X = simulate_path(diagonal_benchmark_spec(3), T=800, burn_in=500, rng_seed=1)
+        Y, target = self.rotated(X)
+        _, profiled = fit_equation(Y, target, 0, diag_a=True)
+        monkeypatch.setattr(estimation, "KKT_TOL", -1.0)
+        _, diag = fit_equation(Y, target, 0, diag_a=True)
+        polished = diag.start_traces[:-3]
+        assert len(polished) == len(profiled.start_traces)
+        assert not any(t["success"] for t in polished)
+        assert [tuple(t["start"]) for t in diag.start_traces[-3:]] == [
+            (s[0], s[2]) for s in estimation.START_SCHEMES]
+        assert diag.nll in [t["nll"] for t in diag.start_traces[-3:]]
 
 
 class TestFitSpectralTargeting:

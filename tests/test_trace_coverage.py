@@ -5,6 +5,12 @@ attributes. A refactor that routes a layer around the patched names leaves
 its per-layer metric empty, and a traced benchmark run then reports
 ``correct: false``. The warm-up call of ``perfbench/workloads.py`` touches
 every layer once, so all metrics must come out of it.
+
+``tracing.layer_metrics`` divides by the ``estimation.minimize`` runs under
+each ``estimation.fit_equation`` span (``estimation.eval_us``,
+``estimation.starts_converged_ratio``). The warm-up fits only diagonal
+models, so every one of those fits must still reach L-BFGS-B through the
+patched ``estimation.minimize``.
 """
 
 import sys
@@ -24,5 +30,9 @@ def test_warm_up_gives_every_layer_metric(tmp_path, monkeypatch):
         workloads.warm_up(tmp_path)
     finally:
         tracer.uninstall()
+    fits = [s for s in tracer.spans if s["name"] == "estimation.fit_equation"]
+    runs = {s["parent"] for s in tracer.spans if s["name"] == "estimation.minimize"}
+    assert fits
+    assert [s["id"] for s in fits if s["id"] not in runs] == []
     metrics, _ = tracing.layer_metrics(tracer.spans)
     assert sorted(set(tracing.LAYER_METRICS) - set(metrics)) == []

@@ -45,7 +45,6 @@ from .panel import (
 )
 from .estimation import (
     ModelFit,
-    OptimizerConfig,
     equation_nll,
     equation_score,
     fit_equation,

@@ -15,10 +15,9 @@ kept as a benchmark.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional, Sequence
 
 import numpy as np
-from scipy.optimize import minimize
+from scipy.optimize import Bounds, minimize
 
 from ._blas import single_threaded
 from .exceptions import ConvergenceError, ValidationError
@@ -34,7 +33,6 @@ from .spectral import (
 )
 
 __all__ = [
-    "OptimizerConfig",
     "EquationDiagnostics",
     "ModelFit",
     "rotate_returns",
@@ -48,6 +46,7 @@ __all__ = [
 PENALTY_BASE = 1e10
 PENALTY_SCALE = 1e10
 GRAD_TOL = 1e-9        # L-BFGS-B projected-gradient tolerance
+MAX_ITERATIONS = 500   # iteration cap of every L-BFGS-B run
 A_MAX = 1.0            # upper bound of every ARCH loading
 B_MAX = 1.0 - 1e-6     # upper bound of every persistence coefficient
 W_FLOOR_REL = 1e-10    # smallest feasible intercept, relative to its target
@@ -62,28 +61,6 @@ PROFILE_B_GRID = np.concatenate([np.linspace(0.0, 0.8, 10, endpoint=False),
                                  1.0 - np.geomspace(0.2, 0.002, 10)])
 PROFILE_NEWTON_STEPS = 12  # cap on the grid's Newton steps in a
 POLISH_STEPS = 50          # cap on the projected-Newton steps of one polish
-
-
-@dataclass(frozen=True)
-class OptimizerConfig:
-    """Settings for the box-constrained quasi-Newton fits.
-
-    ``starts`` replaces the three default equation starts with the given
-    kappa vectors, all of which are run. The joint QMLE reads only
-    ``max_iterations`` and refuses ``starts``.
-    """
-
-    max_iterations: int = 500
-    starts: Optional[Sequence] = None
-
-    def __post_init__(self):
-        if self.max_iterations < 1:
-            raise ValidationError("iteration count must be positive")
-        if self.starts is not None and len(self.starts) == 0:
-            raise ValidationError("starts, when given, must not be empty")
-
-
-DEFAULT_CONFIG = OptimizerConfig()
 
 
 @dataclass
@@ -378,9 +355,10 @@ def _start_kappas(p: int, own: float, off: float, b: float) -> np.ndarray:
     return kappas
 
 
-def _bounds(cols, p: int) -> list:
-    """Box of the coefficients in the given kappa columns (column p is b)."""
-    return [(0.0, B_MAX) if col == p else (0.0, A_MAX) for col in cols]
+def _bounds(cols, p: int):
+    """Box (lo, hi) of the coefficients in the given kappa columns (column p is b)."""
+    hi = np.where(cols == p, B_MAX, A_MAX)
+    return np.zeros(hi.shape), hi
 
 
 def _held(x: np.ndarray, grad: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
@@ -389,15 +367,13 @@ def _held(x: np.ndarray, grad: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np
     return ((x <= lo + 1e-10) & (grad >= 0.0)) | ((x >= hi - 1e-10) & (grad <= 0.0))
 
 
-def _kkt_residual(x: np.ndarray, grad: np.ndarray, bounds) -> float:
-    """Largest |projected gradient| over the box at x; held coordinates count as zero."""
-    lo = np.array([-np.inf if b[0] is None else b[0] for b in bounds])
-    hi = np.array([np.inf if b[1] is None else b[1] for b in bounds])
+def _kkt_residual(x: np.ndarray, grad: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> float:
+    """Largest |projected gradient| over [lo, hi] at x; held coordinates count as zero."""
     return float(np.max(np.abs(np.where(_held(x, grad, lo, hi), 0.0, grad)), initial=0.0))
 
 
-def _run_starts(objective, starts, bounds, max_iterations: int):
-    """One L-BFGS-B run from every start.
+def _run_starts(objective, starts, lo: np.ndarray, hi: np.ndarray):
+    """One L-BFGS-B run of at most ``MAX_ITERATIONS`` from every start on [lo, hi].
 
     Returns the optimizer results and one trace record per start; picking
     the winner is left to the caller. Each result and trace carries the
@@ -405,10 +381,10 @@ def _run_starts(objective, starts, bounds, max_iterations: int):
     """
     results, traces = [], []
     for x0 in starts:
-        res = minimize(objective, x0, jac=True, method="L-BFGS-B", bounds=bounds,
-                       options={"maxiter": max_iterations,
+        res = minimize(objective, x0, jac=True, method="L-BFGS-B", bounds=Bounds(lo, hi),
+                       options={"maxiter": MAX_ITERATIONS,
                                 "gtol": GRAD_TOL, "ftol": 1e-14})
-        res.kkt_residual = _kkt_residual(res.x, res.jac, bounds)
+        res.kkt_residual = _kkt_residual(res.x, res.jac, lo, hi)
         results.append(res)
         traces.append({
             "start": x0.copy(),
@@ -466,8 +442,8 @@ def _profile_on_grid(y2: np.ndarray, lam_i: float, grid: np.ndarray):
     return a, (np.log(lam).sum(axis=1) + q.sum(axis=1)) / T
 
 
-def _projected_newton(x: np.ndarray, kernel, hessian, hi: np.ndarray):
-    """Projected Newton (Bertsekas, 1982) on the box [0, hi] from x.
+def _projected_newton(x: np.ndarray, kernel, hessian, lo: np.ndarray, hi: np.ndarray):
+    """Projected Newton (Bertsekas, 1982) on the box [lo, hi] from x.
 
     Coordinates held at a bound stay there; the others take the Newton step
     of their block of the exact Hessian, its eigenvalues taken in absolute
@@ -478,15 +454,10 @@ def _projected_newton(x: np.ndarray, kernel, hessian, hi: np.ndarray):
     progress. Returns the end point, the kernel's value and gradient there,
     and the numbers of steps and evaluations.
     """
-    lo = np.zeros_like(hi)
-
-    def residual(x, grad):
-        return np.abs(grad[~_held(x, grad, lo, hi)]).max(initial=0.0)
-
     value, grad, lam, r = kernel(x)
     steps, evals = 0, 1
     while steps < POLISH_STEPS:
-        kkt = residual(x, grad)
+        kkt = _kkt_residual(x, grad, lo, hi)
         if kkt <= GRAD_TOL:
             break
         free = ~_held(x, grad, lo, hi)
@@ -498,7 +469,7 @@ def _projected_newton(x: np.ndarray, kernel, hessian, hi: np.ndarray):
             trial = np.clip(x + d, lo, hi)
             out = kernel(trial)
             evals += 1
-            if out[2] is None or residual(trial, out[1]) > 0.5 * kkt:
+            if out[2] is None or _kkt_residual(trial, out[1], lo, hi) > 0.5 * kkt:
                 break
         else:
             for _ in range(40):
@@ -516,8 +487,8 @@ def _projected_newton(x: np.ndarray, kernel, hessian, hi: np.ndarray):
     return x, value, grad, steps, evals
 
 
-def _profile_fit(kernel, hessian, y2: np.ndarray, lam_i: float, bounds, fit_b: bool,
-                 max_iterations: int):
+def _profile_fit(kernel, hessian, y2: np.ndarray, lam_i: float, lo: np.ndarray,
+                 hi: np.ndarray, fit_b: bool):
     """Diagonal-A equation fit on the profile over b.
 
     The profile is evaluated on ``PROFILE_B_GRID`` (the single point b = 0
@@ -532,20 +503,18 @@ def _profile_fit(kernel, hessian, y2: np.ndarray, lam_i: float, bounds, fit_b: b
     a, prof = _profile_on_grid(y2, lam_i, grid)
     left = np.append(True, prof[1:] < prof[:-1])
     right = np.append(prof[:-1] <= prof[1:], True)
-    hi = np.array([b[1] for b in bounds])
     ends, traces = [], []
     for g in np.flatnonzero(left & right):
-        start = np.array([a[g], grid[g]])[:len(bounds)]
-        x, value, grad, steps, evals = _projected_newton(start, kernel, hessian, hi)
-        kkt = _kkt_residual(x, grad, bounds)
+        start = np.array([a[g], grid[g]])[:hi.shape[0]]
+        x, value, grad, steps, evals = _projected_newton(start, kernel, hessian, lo, hi)
+        kkt = _kkt_residual(x, grad, lo, hi)
         ends.append(x)
         traces.append({"start": start, "success": kkt <= KKT_TOL, "nll": float(value),
                        "iterations": steps, "evaluations": evals, "kkt_residual": kkt,
                        "message": "projected Newton polish"})
     best = int(np.argmin([t["nll"] for t in traces]))
     polish = traces[best]
-    (res,), (trace,) = _run_starts(lambda x: kernel(x)[:2], [ends[best]], bounds,
-                                   max_iterations)
+    (res,), (trace,) = _run_starts(lambda x: kernel(x)[:2], [ends[best]], lo, hi)
     res.nit += polish["iterations"]
     res.success = res.kkt_residual <= KKT_TOL
     trace.update(start=polish["start"], success=res.success, iterations=res.nit,
@@ -569,24 +538,23 @@ def _repair_start(kappa: np.ndarray, lam_vec: np.ndarray, i: int,
 
 @single_threaded
 def fit_equation(Y: np.ndarray, gamma_hat, i: int,
-                 cfg: OptimizerConfig = DEFAULT_CONFIG,
                  diag_a: bool = False, fit_b: bool = True):
     """Fit the dynamic coefficients of rotated return i given the targets.
 
-    Box-constrained L-BFGS-B with the analytic score; the implied-intercept
-    constraint is enforced through a smooth pull-back that leaves the
-    criterion untouched at feasible points. A full A, or explicit
-    ``cfg.starts``, runs every start (by default the three
-    ``START_SCHEMES``), and the best converged run wins.
+    Box-constrained L-BFGS-B with the analytic score, each run capped at
+    ``MAX_ITERATIONS``; the implied-intercept constraint is enforced through
+    a smooth pull-back that leaves the criterion untouched at feasible
+    points. A full A runs the three ``START_SCHEMES``, each shrunk toward
+    zero dynamics until its intercept is feasible, and the best converged
+    run wins.
 
-    A diagonal A without ``cfg.starts`` is fitted on the profile over b
-    (``_profile_fit``): a Newton search in a at every point of
-    ``PROFILE_B_GRID`` (b = 0 alone without ``fit_b``), a projected-Newton
-    polish of every grid minimum of the profile, and one L-BFGS-B run from
-    the best polished point. It has converged when that run's box KKT
-    residual is at most ``KKT_TOL``, whatever the optimizer's message;
-    otherwise the three ``START_SCHEMES`` are run after it as above, and
-    their traces follow the polish traces.
+    A diagonal A is fitted on the profile over b (``_profile_fit``): a
+    Newton search in a at every point of ``PROFILE_B_GRID`` (b = 0 alone
+    without ``fit_b``), a projected-Newton polish of every grid minimum of
+    the profile, and one L-BFGS-B run from the best polished point. It has
+    converged when that run's box KKT residual is at most ``KKT_TOL``,
+    whatever the optimizer's message; otherwise the three ``START_SCHEMES``
+    are run after it as above, and their traces follow the polish traces.
 
     Each start trace records the start in the free coordinates: for a
     polished profile minimum, its grid point.
@@ -600,7 +568,7 @@ def fit_equation(Y: np.ndarray, gamma_hat, i: int,
     floor = W_FLOOR_REL * lam_vec[i]
     keep = _free_mask(p, diag_a, fit_b)[i]
     free = np.flatnonzero(keep)
-    bounds = _bounds(free, p)
+    lo, hi = _bounds(free, p)
     y2 = Y[:, i] ** 2
     Z, z_lam = (y2[:, None], lam_vec[[i]]) if diag_a else (Y**2, lam_vec)
 
@@ -611,19 +579,15 @@ def fit_equation(Y: np.ndarray, gamma_hat, i: int,
         return kernel(free_vals)[:2]
 
     results, traces = [], []
-    if diag_a and cfg.starts is None:
+    if diag_a:
         best, traces = _profile_fit(
             kernel, lambda x, lam, r: _kernel_hessian(x, Z, z_lam, y2, lam_vec[i], lam, r),
-            y2, lam_vec[i], bounds, fit_b, cfg.max_iterations)
+            y2, lam_vec[i], lo, hi, fit_b)
         results = [best] if best is not None else []
     if not results:
-        if cfg.starts is not None:
-            starts = [np.asarray(s, dtype=float) for s in cfg.starts]
-        else:
-            starts = [_start_kappas(p, *scheme)[i] for scheme in START_SCHEMES]
-        starts = [_repair_start(np.where(keep, s, 0.0), lam_vec, i, floor)[free]
-                  for s in starts]
-        results, more = _run_starts(objective, starts, bounds, cfg.max_iterations)
+        starts = [_repair_start(np.where(keep, _start_kappas(p, *scheme)[i], 0.0),
+                                lam_vec, i, floor)[free] for scheme in START_SCHEMES]
+        results, more = _run_starts(objective, starts, lo, hi)
         traces += more
     converged = [res for res in results if res.success]
     if not converged:
@@ -636,11 +600,10 @@ def fit_equation(Y: np.ndarray, gamma_hat, i: int,
     kappa[free] = best.x
     active = []
     for slot, idx in enumerate(free):
-        lo, hi = bounds[slot]
         name = "b" if idx == p else f"a[{idx}]"
-        if best.x[slot] <= lo + 1e-10:
+        if best.x[slot] <= lo[slot] + 1e-10:
             active.append(f"{name}=lower")
-        elif best.x[slot] >= hi - 1e-10:
+        elif best.x[slot] >= hi[slot] - 1e-10:
             active.append(f"{name}=upper")
     w = (1.0 - kappa[p]) * lam_vec[i] - float(kappa[:p] @ lam_vec)
     if w < 1e-8 * lam_vec[i]:
@@ -683,8 +646,7 @@ def _intercepts(kappas: np.ndarray, lam: np.ndarray) -> np.ndarray:
 
 
 @single_threaded
-def fit_spectral_targeting(X, cfg: OptimizerConfig = DEFAULT_CONFIG,
-                           diag_a: bool = False, fit_b: bool = True) -> ModelFit:
+def fit_spectral_targeting(X, diag_a: bool = False, fit_b: bool = True) -> ModelFit:
     """Two-step estimator: moment targets, then independent equation fits.
 
     Step one computes the uncentered second-moment matrix and its identified
@@ -694,7 +656,7 @@ def fit_spectral_targeting(X, cfg: OptimizerConfig = DEFAULT_CONFIG,
     Xv = _checked_panel(X)
     target = eigen_sym(sample_covariance(Xv))
     Y = rotate_returns(Xv, target.V)
-    results = [fit_equation(Y, target, i, cfg, diag_a=diag_a, fit_b=fit_b)
+    results = [fit_equation(Y, target, i, diag_a=diag_a, fit_b=fit_b)
                for i in range(Xv.shape[1])]
 
     kappas = np.vstack([kappa for kappa, _ in results])
@@ -807,21 +769,16 @@ def _joint_nll_grad(theta: np.ndarray, X: np.ndarray, p: int, diag_a: bool):
 
 
 @single_threaded
-def fit_joint_qmle(X, cfg: OptimizerConfig = DEFAULT_CONFIG,
-                   diag_a: bool = False) -> ModelFit:
+def fit_joint_qmle(X, diag_a: bool = False) -> ModelFit:
     """Joint QMLE over eigenvalues, rotation angles and all dynamics.
 
     The eigenvector matrix is parameterized by plane rotations with angles
     constrained to (0, pi/2) for identification; after optimization the
     result is renormalized to the sorted/sign-fixed convention so it is
     directly comparable with the two-step fit. The fit runs the first two
-    ``START_SCHEMES`` and reads only ``cfg.max_iterations``; a config with
-    ``starts`` is refused. Non-convergence is reported through the
-    ``converged`` flag and per-start traces, never hidden.
+    ``START_SCHEMES``. Non-convergence is reported through the ``converged``
+    flag and per-start traces, never hidden.
     """
-    if cfg.starts is not None:
-        raise ValidationError("the joint QMLE runs its own starts; "
-                              "cfg.starts must be None")
     Xv = _checked_panel(X)
     p = Xv.shape[1]
     n_phi = p * (p - 1) // 2
@@ -829,27 +786,28 @@ def fit_joint_qmle(X, cfg: OptimizerConfig = DEFAULT_CONFIG,
 
     H = sample_covariance(Xv)
     moment = eigen_sym(H)
-    lo, hi = 1e-6, np.pi / 2 - 1e-6
+    phi_lo, phi_hi = 1e-6, np.pi / 2 - 1e-6
 
     # The constrained rotation branch fixes its own column ordering, which
     # need not be the sorted one; try both orderings of the moment basis and
     # keep the better branch representative. lam starts are always read off
     # the rotated diagonal so the association with the angles is consistent.
-    phi0, _ = min((_match_angles(Vc, lo, hi) for Vc in (moment.V, moment.V[:, ::-1])),
-                  key=lambda match: match[1])
+    phi0, _ = min((_match_angles(Vc, phi_lo, phi_hi)
+                   for Vc in (moment.V, moment.V[:, ::-1])), key=lambda match: match[1])
     lam0 = np.einsum("ji,jk,ki->i", givens_product(phi0, p), H.values,
                      givens_product(phi0, p)) if n_phi else moment.lam.copy()
 
     starts = [np.concatenate([lam0, phi0, _start_kappas(p, *scheme)[mask]])
               for scheme in START_SCHEMES[:2]]
-    bounds = ([(1e-8, None)] * p + [(lo, hi)] * n_phi
-              + _bounds(np.nonzero(mask)[1], p))
+    kappa_lo, kappa_hi = _bounds(np.nonzero(mask)[1], p)
+    lo = np.concatenate([np.full(p, 1e-8), np.full(n_phi, phi_lo), kappa_lo])
+    hi = np.concatenate([np.full(p, np.inf), np.full(n_phi, phi_hi), kappa_hi])
 
     def objective(theta):
         value, grad, _ = _joint_nll_grad(theta, Xv, p, diag_a)
         return value, grad
 
-    results, traces = _run_starts(objective, starts, bounds, cfg.max_iterations)
+    results, traces = _run_starts(objective, starts, lo, hi)
     best = min(results, key=lambda res: res.fun)
     lam_vec = best.x[:p]
     phi = best.x[p:p + n_phi]
@@ -867,9 +825,9 @@ def fit_joint_qmle(X, cfg: OptimizerConfig = DEFAULT_CONFIG,
                             recon_residual=0.0, near_repeated=False)
     active = []
     for m in range(n_phi):
-        if phi[m] <= lo + 1e-9:
+        if phi[m] <= phi_lo + 1e-9:
             active.append(f"phi[{m}]=lower")
-        elif phi[m] >= hi - 1e-9:
+        elif phi[m] >= phi_hi - 1e-9:
             active.append(f"phi[{m}]=upper")
 
     Ysorted = rotate_returns(Xv, V_sorted)

@@ -36,6 +36,7 @@ __all__ = [
 ]
 
 BURN_IN = 1000
+QMLE_FAILURE_LIMIT = 0.20  # failed share of joint fits that withholds a row's ratio
 # Byte budget of one chunk's innovation block: the density study simulates
 # the replications of a chunk together, in one loop over time.
 CHUNK_BYTES = 4 * 2**20
@@ -191,17 +192,14 @@ def _simulated_paths(spec: ModelSpec, T: int, seeds: list):
 
 
 @single_threaded
-def run_relative_efficiency(
-    cfg: ExperimentConfig,
-    qmle_failure_limit: float = 0.20,
-) -> list[RelativeEfficiencyRow]:
+def run_relative_efficiency(cfg: ExperimentConfig) -> list[RelativeEfficiencyRow]:
     """Accuracy and single-core timing of the two estimators per dimension.
 
     Simulates the diagonal benchmark process ``n_replications`` times per
     dimension, fits the requested estimators on each path, and reports mean
     CPU seconds per fit plus the quadratic-form efficiency ratio. A row is
     flagged (ratio withheld) when the joint estimator fails to converge in
-    more than ``qmle_failure_limit`` of the replications. Runs serially so
+    more than ``QMLE_FAILURE_LIMIT`` of the replications. Runs serially so
     the timings reflect a single core.
     """
     rows = []
@@ -232,7 +230,7 @@ def run_relative_efficiency(
         re = None
         flagged = False
         if ste_thetas and qmle_thetas:
-            if failure_rate > qmle_failure_limit:
+            if failure_rate > QMLE_FAILURE_LIMIT:
                 flagged = True
             else:
                 re = relative_efficiency_statistic(

@@ -16,8 +16,8 @@ import numpy as np
 from scipy.stats import chi2
 
 from ._blas import single_threaded
-from .estimation import ModelFit, OptimizerConfig, DEFAULT_CONFIG, \
-    _panel_values, fit_joint_qmle, fit_spectral_targeting, rotate_returns
+from .estimation import ModelFit, _panel_values, fit_joint_qmle, fit_spectral_targeting, \
+    rotate_returns
 from .exceptions import ConvergenceError, ValidationError
 from .model import filter_eigenvalues
 from .panel import ReturnPanel, align_weights
@@ -350,7 +350,6 @@ def rolling_backtest(
     alpha: float = 0.05,
     refit_every: Optional[int] = None,
     method: str = "ste",
-    cfg: OptimizerConfig = DEFAULT_CONFIG,
     diag_a: bool = False,
     n_draws: int = 10_000,
     rng_seed: int = 0,
@@ -378,11 +377,9 @@ def rolling_backtest(
     A refit that does not converge raises ConvergenceError naming its
     origin, the first row after its window.
     """
+    Xv = _panel_values(X)
     panel = X if isinstance(X, ReturnPanel) else ReturnPanel(
-        np.atleast_2d(np.asarray(X, float)),
-        [f"A{j}" for j in range(np.atleast_2d(np.asarray(X, float)).shape[1])],
-    )
-    Xv = panel.values
+        Xv, [f"A{j}" for j in range(Xv.shape[1])])
     T, p = Xv.shape
     if window >= T:
         raise ValidationError(f"window {window} leaves no out-of-sample data (T={T})")
@@ -429,9 +426,9 @@ def rolling_backtest(
             t0 = time.process_time()
             win = Xv[start:origin]
             if method == "ste":
-                fit = fit_spectral_targeting(win, cfg, diag_a=diag_a)
+                fit = fit_spectral_targeting(win, diag_a=diag_a)
             else:
-                fit = fit_joint_qmle(win, cfg, diag_a=diag_a)
+                fit = fit_joint_qmle(win, diag_a=diag_a)
             if not fit.converged:
                 raise ConvergenceError(
                     f"{fit.method} refit at origin {origin} (window rows "

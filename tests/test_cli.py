@@ -8,7 +8,6 @@ import pytest
 
 from eigengarch import (
     ConvergenceError,
-    OptimizerConfig,
     _blas,
     fhs_forecast,
     fit_spectral_targeting,
@@ -156,11 +155,9 @@ class TestForecast:
                     -var_from_distribution(draws, level), rel=1e-12)
 
     def test_nonconverged_qmle_fit_is_3(self, sim_dir, tmp_path, monkeypatch, capsys):
-        from eigengarch import cli
+        from eigengarch import estimation
 
-        real_fit = cli.fit_joint_qmle
-        monkeypatch.setattr(cli, "fit_joint_qmle", lambda X, diag_a: real_fit(
-            X, OptimizerConfig(max_iterations=1), diag_a=diag_a))
+        monkeypatch.setattr(estimation, "MAX_ITERATIONS", 1)
         assert run(["forecast", "--input", sim_dir / "panel.csv", "--method", "qmle",
                     "--out", tmp_path]) == 3
         assert "did not converge" in capsys.readouterr().err
@@ -187,11 +184,9 @@ class TestBacktest:
         np.testing.assert_array_equal(hits, (realized <= -var_path).astype(int))
 
     def test_nonconverged_qmle_refit_is_3(self, sim_dir, tmp_path, monkeypatch, capsys):
-        from eigengarch import risk
+        from eigengarch import estimation
 
-        real_fit = risk.fit_joint_qmle
-        monkeypatch.setattr(risk, "fit_joint_qmle", lambda X, cfg, diag_a: real_fit(
-            X, OptimizerConfig(max_iterations=1), diag_a=diag_a))
+        monkeypatch.setattr(estimation, "MAX_ITERATIONS", 1)
         assert run(["backtest", "--input", sim_dir / "panel.csv", "--method", "qmle",
                     "--window", "400", "--out", tmp_path]) == 3
         assert "origin 400" in capsys.readouterr().err

@@ -6,7 +6,6 @@ import pytest
 from eigengarch import (
     DynamicsParams,
     ModelSpec,
-    OptimizerConfig,
     ValidationError,
     eigen_sym,
     equation_nll,
@@ -33,6 +32,18 @@ from eigengarch.experiments import density_case_spec, diagonal_benchmark_spec
 
 def case1_panel(T=10_000, seed=42):
     return simulate_path(density_case_spec(1), T=T, burn_in=1000, rng_seed=seed)
+
+
+def runs_from(Y, lam, i, starts, diag_a=False, fit_b=True):
+    """L-BFGS-B runs of equation i's criterion from the given kappa starts, in
+    the free coordinates of ``fit_equation``; returns results and traces."""
+    p = lam.shape[0]
+    free = np.flatnonzero(_free_mask(p, diag_a, fit_b)[i])
+    Y2 = np.asarray(Y) ** 2
+    Z, z_lam = (Y2[:, [i]], lam[[i]]) if diag_a else (Y2, lam)
+    return estimation._run_starts(
+        lambda x: _equation_kernel(x, Z, z_lam, Y2[:, i], lam[i])[:2],
+        [s[free] for s in starts], *estimation._bounds(free, p))
 
 
 class TestRotateReturns:
@@ -305,20 +316,20 @@ class TestFitEquation:
         X = simulate_path(spec, T=5000, burn_in=500, rng_seed=3)
         fit = fit_spectral_targeting(X)
         Y = rotate_returns(X, fit.target.V)
-        cfg = OptimizerConfig(starts=[fit.kappas[0]])
-        kappa, diag = fit_equation(Y, fit.target, 0, cfg)
-        assert np.abs(kappa - fit.kappas[0]).max() < 1e-7
-        assert len(diag.start_traces) == 1
+        (res,), traces = runs_from(Y, fit.target.lam, 0, [fit.kappas[0]])
+        assert res.success
+        assert np.abs(res.x - fit.kappas[0]).max() < 1e-7
+        assert len(traces) == 1
 
-    def test_all_starts_failing_raises(self):
+    def test_all_starts_failing_raises(self, monkeypatch):
         from eigengarch import ConvergenceError
         rng = np.random.default_rng(1)
         Y = rng.standard_normal((200, 1))
         lam = np.array([1.0])
-        cfg = OptimizerConfig(max_iterations=1, starts=[np.array([0.1, 0.5])])
+        monkeypatch.setattr(estimation, "MAX_ITERATIONS", 1)
         with pytest.raises(ConvergenceError) as exc:
-            fit_equation(Y, lam, 0, cfg)
-        assert exc.value.traces
+            fit_equation(Y, lam, 0)
+        assert len(exc.value.traces) == 3
 
     def test_every_start_is_run(self):
         rng = np.random.default_rng(2)
@@ -326,25 +337,20 @@ class TestFitEquation:
         lam = np.array([1.0, 1.0])
         _, diag = fit_equation(Y, lam, 1)
         assert len(diag.start_traces) == 3
-        starts = [np.array([0.0, a, 0.5]) for a in (0.05, 0.1, 0.2, 0.3)]
-        _, diag = fit_equation(Y, lam, 1, OptimizerConfig(starts=starts))
-        assert len(diag.start_traces) == 4
 
     @pytest.mark.parametrize("diag_a", [True, False])
     def test_kkt_residual_is_the_projected_score(self, diag_a):
-        # each start run on its own, so its end point is the returned kappa
         X = simulate_path(diagonal_benchmark_spec(3), T=1500, burn_in=500, rng_seed=4)
-        target = fit_spectral_targeting(X, diag_a=diag_a).target
-        Y = rotate_returns(X, target.V)
-        free = np.flatnonzero(_free_mask(3, diag_a)[1])
-        upper = np.where(free == 3, estimation.B_MAX, estimation.A_MAX)
-        for scheme in estimation.START_SCHEMES:
-            cfg = OptimizerConfig(starts=[estimation._start_kappas(3, *scheme)[1]])
-            kappa, diag = fit_equation(Y, target, 1, cfg, diag_a=diag_a)
-            g, x = equation_score(kappa, target, Y, 1)[free], kappa[free]
+        fit = fit_spectral_targeting(X, diag_a=diag_a)
+        Y = rotate_returns(X, fit.target.V)
+        for i, (kappa, diag) in enumerate(zip(fit.kappas, fit.diagnostics)):
+            free = np.flatnonzero(_free_mask(3, diag_a)[i])
+            upper = np.where(free == 3, estimation.B_MAX, estimation.A_MAX)
+            g, x = equation_score(kappa, fit.target, Y, i)[free], kappa[free]
             held = ((x <= 1e-10) & (g >= 0)) | ((x >= upper - 1e-10) & (g <= 0))
             expected = np.abs(np.where(held, 0.0, g)).max()
-            assert diag.kkt_residual == diag.start_traces[0]["kkt_residual"]
+            winner = [t for t in diag.start_traces if t["nll"] == diag.nll]
+            assert winner[0]["kkt_residual"] == diag.kkt_residual
             assert diag.kkt_residual == pytest.approx(expected, rel=1e-6, abs=1e-12)
 
     @pytest.mark.parametrize("i", [-1, 2])
@@ -356,12 +362,6 @@ class TestFitEquation:
             fit_equation(Y, lam, i, diag_a=True)
         with pytest.raises(ValidationError, match="equation index"):
             equation_nll(np.full(3, 0.1), lam, Y, i)
-
-    def test_config_validation(self):
-        with pytest.raises(ValidationError):
-            OptimizerConfig(max_iterations=0)
-        with pytest.raises(ValidationError):
-            OptimizerConfig(starts=[])
 
 
 class TestDiagonalProfileFit:
@@ -393,10 +393,9 @@ class TestDiagonalProfileFit:
             Y, target = self.rotated(X)
             for i in range(p):
                 starts = [estimation._start_kappas(p, *s)[i] for s in estimation.START_SCHEMES]
-                _, three = fit_equation(Y, target, i, OptimizerConfig(starts=starts),
-                                        diag_a=True, fit_b=fit_b)
+                three, _ = runs_from(Y, target.lam, i, starts, diag_a=True, fit_b=fit_b)
                 _, diag = fit_equation(Y, target, i, diag_a=True, fit_b=fit_b)
-                assert diag.nll <= three.nll + 1e-9
+                assert diag.nll <= min(res.fun for res in three if res.success) + 1e-9
                 assert diag.kkt_residual <= estimation.KKT_TOL
                 best = [t for t in diag.start_traces if t["nll"] == diag.nll]
                 assert best and best[0]["success"]
@@ -531,12 +530,6 @@ class TestJointQMLE:
         for j in range(2):
             col = fit.target.V[:, j]
             assert col[np.abs(col) > 1e-12][0] > 0
-
-    def test_refuses_starts(self):
-        X = case1_panel(T=500, seed=23)
-        cfg = OptimizerConfig(starts=[np.array([0.1, 0.0, 0.5])])
-        with pytest.raises(ValidationError, match="starts"):
-            fit_joint_qmle(X, cfg, diag_a=True)
 
     def test_start_traces_match_the_equation_fits(self):
         X = case1_panel(T=1000, seed=29)

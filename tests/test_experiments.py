@@ -182,9 +182,10 @@ class TestRunRelativeEfficiency:
             np.testing.assert_array_equal(seen[2 * k][1], X)
             np.testing.assert_array_equal(seen[2 * k + 1][1], X)
 
-    def test_row_flagged_when_qmle_unreliable(self):
+    def test_row_flagged_when_qmle_unreliable(self, monkeypatch):
+        monkeypatch.setattr(experiments, "QMLE_FAILURE_LIMIT", -0.5)
         cfg = ExperimentConfig(dimensions=[2], n_replications=2, T=400, seed=2)
-        rows = run_relative_efficiency(cfg, qmle_failure_limit=-0.5)
+        rows = run_relative_efficiency(cfg)
         assert rows[0].flagged and rows[0].re is None
 
 

@@ -20,7 +20,8 @@ from eigengarch import (
     var_from_distribution,
 )
 from eigengarch import risk
-from eigengarch.estimation import B_MAX, ModelFit, OptimizerConfig, fit_joint_qmle
+from eigengarch import estimation
+from eigengarch.estimation import B_MAX, ModelFit, fit_joint_qmle
 from eigengarch.experiments import density_case_spec, diagonal_benchmark_spec
 from eigengarch.model import filter_eigenvalues
 from eigengarch.panel import bundled_weights_path, load_weights_csv
@@ -419,11 +420,11 @@ class TestRollingBacktest:
         with pytest.raises(ValidationError, match="20"):
             rolling_backtest(X, [np.ones(2)], window=300)
 
-    def test_nonconverged_qmle_refit_raises(self):
+    def test_nonconverged_qmle_refit_raises(self, monkeypatch):
         X = simulate_path(density_case_spec(1), T=330, burn_in=100, rng_seed=1)
+        monkeypatch.setattr(estimation, "MAX_ITERATIONS", 1)
         with pytest.raises(ConvergenceError, match="origin 300"):
-            rolling_backtest(X, [np.ones(2)], window=300, method="qmle",
-                             cfg=OptimizerConfig(max_iterations=1), n_draws=1000)
+            rolling_backtest(X, [np.ones(2)], window=300, method="qmle", n_draws=1000)
 
     def test_bundled_portfolio_fixture_end_to_end(self):
         # 25-asset simulated panel scored against the packaged five portfolios

@@ -77,8 +77,10 @@ def _out_dir(opts: _Options) -> Path:
 
 
 def _write_json(path: Path, payload: dict):
+    """Write a JSON report, stamped with the BLAS thread counts it ran under."""
     with open(path, "w") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
+        json.dump({**payload, "blas_threads": pinned_thread_counts()}, fh,
+                  indent=2, sort_keys=True)
     print(f"wrote {path}")
 
 
@@ -158,7 +160,6 @@ def _fit_payload(fit) -> dict:
         "active_constraints": [
             d.active_constraints for d in fit.diagnostics
         ],
-        "blas_threads": pinned_thread_counts(),
     }
 
 
@@ -228,7 +229,6 @@ def cmd_forecast(opts: _Options) -> int:
     _write_json(_out_dir(opts) / "forecast.json", {
         "horizon": h, "alpha": alpha, "n_draws": n_draws, "seed": seed,
         "method": fit.method, "portfolios": result,
-        "blas_threads": pinned_thread_counts(),
     })
     return 0
 
@@ -250,8 +250,7 @@ def cmd_backtest(opts: _Options) -> int:
         rng_seed=int(opts.get("seed", 0)),
     )
     out = _out_dir(opts)
-    _write_json(out / "backtest.json",
-                {**report.to_dict(), "blas_threads": pinned_thread_counts()})
+    _write_json(out / "backtest.json", report.to_dict())
     path = out / "var_paths.csv"
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
@@ -299,7 +298,7 @@ def cmd_bench_re(opts: _Options) -> int:
     _write_json(out / "relative_efficiency.json",
                 {"rows": [r.to_dict() for r in rows],
                  "n_replications": cfg.n_replications, "T": cfg.T,
-                 "seed": cfg.seed, "blas_threads": pinned_thread_counts()})
+                 "seed": cfg.seed})
     print(f"wrote {path}")
     return 0
 
@@ -317,8 +316,7 @@ def cmd_density_study(opts: _Options) -> int:
         n_workers=int(opts.get("workers", 1)),
     )
     out = _out_dir(opts)
-    _write_json(out / f"density_case{case}.json",
-                {**res.summary(), "blas_threads": pinned_thread_counts()})
+    _write_json(out / f"density_case{case}.json", res.summary())
     path = out / f"density_case{case}_samples.csv"
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)

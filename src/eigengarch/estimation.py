@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import Bounds, minimize
+from scipy.optimize import Bounds, OptimizeResult, minimize
 
 from ._blas import single_threaded
 from .exceptions import ConvergenceError, ValidationError
@@ -372,6 +372,31 @@ def _kkt_residual(x: np.ndarray, grad: np.ndarray, lo: np.ndarray, hi: np.ndarra
     return float(np.max(np.abs(np.where(_held(x, grad, lo, hi), 0.0, grad)), initial=0.0))
 
 
+def _trace(start: np.ndarray, res) -> dict:
+    """One start's trace record from its optimizer result."""
+    return {
+        "start": start.copy(),
+        "success": bool(res.success),
+        "nll": float(res.fun),
+        "iterations": int(res.nit),
+        "evaluations": int(res.nfev),
+        "kkt_residual": res.kkt_residual,
+        "message": str(res.message),
+    }
+
+
+def _diagnostics(res, active: list, traces: list) -> EquationDiagnostics:
+    """A fit's diagnostics from its winning optimizer result."""
+    return EquationDiagnostics(
+        converged=bool(res.success),
+        n_iterations=int(res.nit),
+        nll=float(res.fun),
+        kkt_residual=res.kkt_residual,
+        active_constraints=active,
+        start_traces=traces,
+    )
+
+
 def _run_starts(objective, starts, lo: np.ndarray, hi: np.ndarray):
     """One L-BFGS-B run of at most ``MAX_ITERATIONS`` from every start on [lo, hi].
 
@@ -386,15 +411,7 @@ def _run_starts(objective, starts, lo: np.ndarray, hi: np.ndarray):
                                 "gtol": GRAD_TOL, "ftol": 1e-14})
         res.kkt_residual = _kkt_residual(res.x, res.jac, lo, hi)
         results.append(res)
-        traces.append({
-            "start": x0.copy(),
-            "success": bool(res.success),
-            "nll": float(res.fun),
-            "iterations": int(res.nit),
-            "evaluations": int(res.nfev),
-            "kkt_residual": res.kkt_residual,
-            "message": str(res.message),
-        })
+        traces.append(_trace(x0, res))
     return results, traces
 
 
@@ -442,40 +459,49 @@ def _profile_on_grid(y2: np.ndarray, lam_i: float, grid: np.ndarray):
     return a, (np.log(lam).sum(axis=1) + q.sum(axis=1)) / T
 
 
-def _projected_newton(x: np.ndarray, kernel, hessian, lo: np.ndarray, hi: np.ndarray):
-    """Projected Newton (Bertsekas, 1982) on the box [lo, hi] from x.
+def _projected_newton(fun, x: np.ndarray, args=(), hess=None, bounds=None, **_):
+    """Projected Newton (Bertsekas, 1982) on the box ``bounds`` = (lo, hi) from
+    x, as a ``scipy.optimize.minimize`` method.
 
+    ``fun(x, *args)`` returns the criterion, its gradient, then the path and
+    adjoint that ``hess(x, path, adjoint)`` takes for the exact Hessian.
     Coordinates held at a bound stay there; the others take the Newton step
-    of their block of the exact Hessian, its eigenvalues taken in absolute
-    value so that the step descends, and a projected Armijo search along
-    it. Once the step's predicted decrease is at the criterion's rounding
-    level, the full step is kept only while it halves the box KKT residual.
-    Stops when that residual is at most ``GRAD_TOL`` or no step makes
-    progress. Returns the end point, the kernel's value and gradient there,
-    and the numbers of steps and evaluations.
+    of their block of the Hessian, its eigenvalues taken in absolute value
+    so that the step descends, and a projected Armijo search along it. Once
+    the step's predicted decrease is at the criterion's rounding level, the
+    full step is kept only while it halves the box KKT residual. Stops when
+    that residual is at most ``GRAD_TOL``, when no step makes progress or
+    after ``POLISH_STEPS`` steps; the result has converged when its residual
+    is at most ``KKT_TOL``.
     """
-    value, grad, lam, r = kernel(x)
-    steps, evals = 0, 1
-    while steps < POLISH_STEPS:
+    lo, hi = bounds
+    value, grad, lam, r = fun(x, *args)
+    nit, nfev = 0, 1
+    message = "no step made progress"
+    while True:
         kkt = _kkt_residual(x, grad, lo, hi)
         if kkt <= GRAD_TOL:
+            message = "box KKT residual at most GRAD_TOL"
+            break
+        if nit == POLISH_STEPS:
+            message = f"POLISH_STEPS ({POLISH_STEPS}) reached"
             break
         free = ~_held(x, grad, lo, hi)
-        w, Q = np.linalg.eigh(hessian(x, lam, r)[np.ix_(free, free)])
+        w, Q = np.linalg.eigh(hess(x, lam, r)[np.ix_(free, free)])
         w = np.maximum(np.abs(w), 1e-12 * np.abs(w).max(initial=1.0))
         d = np.zeros_like(x)
         d[free] = -Q @ ((Q.T @ grad[free]) / w)
         if -float(grad @ d) <= 10.0 * np.finfo(float).eps * max(abs(value), 1.0):
             trial = np.clip(x + d, lo, hi)
-            out = kernel(trial)
-            evals += 1
+            out = fun(trial, *args)
+            nfev += 1
             if out[2] is None or _kkt_residual(trial, out[1], lo, hi) > 0.5 * kkt:
                 break
         else:
             for _ in range(40):
                 trial = np.clip(x + d, lo, hi)
-                out = kernel(trial)
-                evals += 1
+                out = fun(trial, *args)
+                nfev += 1
                 if out[2] is not None and out[0] < value + 1e-4 * float(grad @ (trial - x)):
                     break
                 d *= 0.5
@@ -483,8 +509,9 @@ def _projected_newton(x: np.ndarray, kernel, hessian, lo: np.ndarray, hi: np.nda
                 break
         x = trial
         value, grad, lam, r = out
-        steps += 1
-    return x, value, grad, steps, evals
+        nit += 1
+    return OptimizeResult(x=x, fun=value, jac=grad, nit=nit, nfev=nfev, kkt_residual=kkt,
+                          success=kkt <= KKT_TOL, message=message)
 
 
 def _profile_fit(kernel, hessian, y2: np.ndarray, lam_i: float, lo: np.ndarray,
@@ -492,35 +519,23 @@ def _profile_fit(kernel, hessian, y2: np.ndarray, lam_i: float, lo: np.ndarray,
     """Diagonal-A equation fit on the profile over b.
 
     The profile is evaluated on ``PROFILE_B_GRID`` (the single point b = 0
-    without ``fit_b``), every grid minimum of it is polished by projected
-    Newton in the free coordinates, and one L-BFGS-B run confirms the best
-    end point. Returns the confirmation result, or None when its box KKT
-    residual exceeds ``KKT_TOL``, and one trace per polished minimum; each
-    trace's start is its grid point and its iterations and evaluations count
-    the polish too.
+    without ``fit_b``), and every grid minimum of it is polished by
+    ``_projected_newton`` in the free coordinates. Returns the lowest
+    polished result, or None when it has not converged, and one trace per
+    polished minimum whose start is its grid point.
     """
     grid = PROFILE_B_GRID if fit_b else np.zeros(1)
     a, prof = _profile_on_grid(y2, lam_i, grid)
     left = np.append(True, prof[1:] < prof[:-1])
     right = np.append(prof[:-1] <= prof[1:], True)
-    ends, traces = [], []
+    results, traces = [], []
     for g in np.flatnonzero(left & right):
         start = np.array([a[g], grid[g]])[:hi.shape[0]]
-        x, value, grad, steps, evals = _projected_newton(start, kernel, hessian, lo, hi)
-        kkt = _kkt_residual(x, grad, lo, hi)
-        ends.append(x)
-        traces.append({"start": start, "success": kkt <= KKT_TOL, "nll": float(value),
-                       "iterations": steps, "evaluations": evals, "kkt_residual": kkt,
-                       "message": "projected Newton polish"})
-    best = int(np.argmin([t["nll"] for t in traces]))
-    polish = traces[best]
-    (res,), (trace,) = _run_starts(lambda x: kernel(x)[:2], [ends[best]], lo, hi)
-    res.nit += polish["iterations"]
-    res.success = res.kkt_residual <= KKT_TOL
-    trace.update(start=polish["start"], success=res.success, iterations=res.nit,
-                 evaluations=trace["evaluations"] + polish["evaluations"])
-    traces[best] = trace
-    return (res if res.success else None), traces
+        res = minimize(kernel, start, method=_projected_newton, hess=hessian, bounds=(lo, hi))
+        results.append(res)
+        traces.append(_trace(start, res))
+    best = min(results, key=lambda res: res.fun)
+    return (best if best.success else None), traces
 
 
 def _repair_start(kappa: np.ndarray, lam_vec: np.ndarray, i: int,
@@ -550,11 +565,11 @@ def fit_equation(Y: np.ndarray, gamma_hat, i: int,
 
     A diagonal A is fitted on the profile over b (``_profile_fit``): a
     Newton search in a at every point of ``PROFILE_B_GRID`` (b = 0 alone
-    without ``fit_b``), a projected-Newton polish of every grid minimum of
-    the profile, and one L-BFGS-B run from the best polished point. It has
-    converged when that run's box KKT residual is at most ``KKT_TOL``,
-    whatever the optimizer's message; otherwise the three ``START_SCHEMES``
-    are run after it as above, and their traces follow the polish traces.
+    without ``fit_b``), then a projected-Newton polish of every grid minimum
+    of the profile, each its own ``minimize`` run. The lowest polished point
+    wins when its box KKT residual is at most ``KKT_TOL``; otherwise the
+    three ``START_SCHEMES`` are run after the polish as above, and their
+    traces follow the polish traces.
 
     Each start trace records the start in the free coordinates: for a
     polished profile minimum, its grid point.
@@ -608,15 +623,7 @@ def fit_equation(Y: np.ndarray, gamma_hat, i: int,
     w = (1.0 - kappa[p]) * lam_vec[i] - float(kappa[:p] @ lam_vec)
     if w < 1e-8 * lam_vec[i]:
         active.append("w=floor")
-    diag = EquationDiagnostics(
-        converged=bool(best.success),
-        n_iterations=int(best.nit),
-        nll=float(best.fun),
-        kkt_residual=best.kkt_residual,
-        active_constraints=active,
-        start_traces=traces,
-    )
-    return kappa, diag
+    return kappa, _diagnostics(best, active, traces)
 
 
 def _panel_values(X) -> np.ndarray:
@@ -834,14 +841,6 @@ def fit_joint_qmle(X, diag_a: bool = False) -> ModelFit:
     nlls = np.array([
         equation_nll(kappas[i], lam_sorted, Ysorted, i) for i in range(p)
     ])
-    diag = EquationDiagnostics(
-        converged=bool(best.success),
-        n_iterations=int(best.nit),
-        nll=float(best.fun),
-        kkt_residual=best.kkt_residual,
-        active_constraints=active,
-        start_traces=traces,
-    )
     return ModelFit(
         target=target,
         kappas=kappas,
@@ -849,6 +848,6 @@ def fit_joint_qmle(X, diag_a: bool = False) -> ModelFit:
         equation_nlls=nlls,
         method="joint-QMLE",
         diag_a=diag_a,
-        diagnostics=[diag],
+        diagnostics=[_diagnostics(best, active, traces)],
         converged=bool(best.success),
     )

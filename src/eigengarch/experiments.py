@@ -23,7 +23,7 @@ from ._blas import single_threaded
 from .estimation import ModelFit, fit_joint_qmle, fit_spectral_targeting
 from .exceptions import ValidationError
 from .model import DynamicsParams, ModelSpec, _advance_paths, simulate_path
-from .spectral import givens_product
+from .spectral import SpectralTarget, givens_product
 
 __all__ = [
     "ExperimentConfig",
@@ -100,8 +100,7 @@ def diagonal_benchmark_spec(p: int) -> ModelSpec:
     lam = np.array([(p + 1 - i) / 10.0 for i in range(1, p + 1)])
     V = givens_product(np.full(p * (p - 1) // 2, 0.5), p)
     dyn = DynamicsParams(A=0.05 * np.eye(p), b=np.full(p, 0.85), diag_a=True)
-    W = (np.eye(p) - dyn.persistence()) @ lam
-    return ModelSpec(V=V, dynamics=dyn, W=W, lam=lam)
+    return ModelSpec.from_targets(SpectralTarget(lam=lam, V=V), dyn)
 
 
 _CASE_ARCH = {1: (0.33, 0.25), 2: (0.60, 0.55), 3: (1.01, 0.90)}
@@ -118,11 +117,7 @@ def density_case_spec(case: int) -> ModelSpec:
     V = givens_product([np.arctan2(0.45, 0.89)], 2)
     a1, a2 = _CASE_ARCH[case]
     dyn = DynamicsParams(A=np.diag([a1, a2]), b=np.zeros(2), diag_a=True)
-    W = np.array([1.5, 0.46])
-    lam = None
-    if case != 3:
-        lam = np.linalg.solve(np.eye(2) - dyn.persistence(), W)
-    return ModelSpec(V=V, dynamics=dyn, W=W, lam=lam)
+    return ModelSpec.from_intercepts(V, np.array([1.5, 0.46]), dyn)
 
 
 def _theta_vector(fit: ModelFit) -> np.ndarray:

@@ -19,7 +19,7 @@ from ._blas import single_threaded
 from .estimation import ModelFit, _panel_values, fit_joint_qmle, fit_spectral_targeting, \
     rotate_returns
 from .exceptions import ConvergenceError, ValidationError
-from .model import filter_eigenvalues
+from .model import ModelSpec, filter_eigenvalues
 from .panel import ReturnPanel, align_weights
 
 __all__ = [
@@ -129,15 +129,14 @@ def standardized_residuals(fit: ModelFit, X,
     return ResidualPanel(Z=Z, column_variances=Z.var(axis=0))
 
 
-def _scenarios(fit: ModelFit, Y: np.ndarray, lam_t: np.ndarray, Z: np.ndarray,
+def _scenarios(spec: ModelSpec, Y: np.ndarray, lam_t: np.ndarray, Z: np.ndarray,
                h: int, n_draws: int, rng_seed, Q: np.ndarray) -> np.ndarray:
     """n_draws x m summed h-step returns of the m columns of ``V'project = Q``.
 
-    ``Y`` and ``lam_t`` are the window's rotated returns and eigenvalue
-    path, ``Z`` the rows that are drawn.
+    ``spec`` is the fitted model, ``Y`` and ``lam_t`` are the window's
+    rotated returns and eigenvalue path, ``Z`` the rows that are drawn.
     """
-    dynamics = fit.dynamics
-    A, b, W = dynamics.A, dynamics.b, fit.W
+    A, b, W = spec.dynamics.A, spec.dynamics.b, spec.W
     # one step ahead of the sample end is deterministic
     lam_next = W + A @ (Y[-1] ** 2) + b * lam_t[-1]
     rng = np.random.default_rng(rng_seed)
@@ -207,12 +206,13 @@ def fhs_cumulative_returns(
     if not np.all(np.isfinite(project)):
         raise ValidationError("weights must be finite")
     Y = rotate_returns(Xv, V)
-    lam_t = filter_eigenvalues(fit.spec(), Y)
+    spec = fit.spec()
+    lam_t = filter_eigenvalues(spec, Y)
     if residuals is None:
         Z = Y / np.sqrt(lam_t)
     else:
         Z = np.atleast_2d(np.asarray(residuals, dtype=float))
-    return _scenarios(fit, Y, lam_t, Z, h, n_draws, rng_seed, V.T @ project)
+    return _scenarios(spec, Y, lam_t, Z, h, n_draws, rng_seed, V.T @ project)
 
 
 @single_threaded
@@ -446,17 +446,18 @@ def rolling_backtest(
             if last > k:
                 # the fit's later windows are re-anchored slices of one path
                 # over the rows from this window's start to the last origin
-                Y = rotate_returns(Xv[start:window + last * horizon], fit.target.V)
-                carried = (start, Y, filter_eigenvalues(fit.spec(), Y),
-                           fit.dynamics.b ** np.arange(window)[:, None],
-                           fit.target.V.T @ weights)
+                spec = fit.spec()
+                Y = rotate_returns(Xv[start:window + last * horizon], spec.V)
+                carried = (spec, start, Y, filter_eigenvalues(spec, Y),
+                           spec.dynamics.b ** np.arange(window)[:, None],
+                           spec.V.T @ weights)
         else:
             t0 = time.process_time()
-            first, Y, path, powers, Q = carried
+            spec, first, Y, path, powers, Q = carried
             s = start - first
             lam_t = _reanchored(path, s, powers)
             Ys = Y[s:s + window]
-            draws = _scenarios(fit, Ys, lam_t, Ys / np.sqrt(lam_t), horizon,
+            draws = _scenarios(spec, Ys, lam_t, Ys / np.sqrt(lam_t), horizon,
                                n_draws, forecast_seeds[k], Q)
         for j in range(len(port_w)):
             var_paths[j, k] = var_from_distribution(draws[:, j], alpha)

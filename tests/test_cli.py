@@ -259,6 +259,26 @@ class TestDensityStudy:
         assert not (tmp_path / "density_case1.json").exists()
 
 
+def test_every_json_report_records_blas_threads(sim_dir, tmp_path):
+    panel = sim_dir / "panel.csv"
+    for args in (["simulate", "--dgp", "case1", "--T", "100"],
+                 ["estimate", "--input", panel],
+                 ["forecast", "--input", panel, "--n-draws", "1000"],
+                 ["backtest", "--input", panel, "--window", "400", "--refit-every", "100",
+                  "--n-draws", "1000"],
+                 ["bench-re", "--dims", "2", "--n-reps", "2", "--T", "500",
+                  "--estimators", "ste"],
+                 ["density-study", "--case", "1", "--n-reps", "2", "--T", "800"]):
+        assert run([*args, "--out", tmp_path]) == 0
+    reports = sorted(tmp_path.glob("*.json"))
+    assert [p.name for p in reports] == [
+        "backtest.json", "density_case1.json", "fit.json", "forecast.json",
+        "relative_efficiency.json", "simulate_meta.json"]
+    for path in reports:
+        assert json.loads(path.read_text())["blas_threads"] == {
+            name: 1 for name in _blas.thread_counts()}, path.name
+
+
 class TestConfigFile:
     def test_config_supplies_defaults_flags_override(self, tmp_path):
         cfg = tmp_path / "cfg.json"

@@ -376,7 +376,16 @@ class TestDiagonalProfileFit:
         (3, 1350, 22, 1.8263014),  # three starts: 1.8266645, KKT residual 0.128
         (2, 1200, 16, 1.4847843),  # three starts: 1.4851130, KKT residual 0.0145
     ])
-    def test_reaches_the_optimum_the_three_starts_miss(self, k, origin, i, best):
+    def test_reaches_the_optimum_the_three_starts_miss(self, k, origin, i, best,
+                                                        monkeypatch):
+        runs, original = [], estimation.minimize
+
+        def recording(*args, **kwargs):
+            res = original(*args, **kwargs)
+            runs.append((kwargs.get("method"), res))
+            return res
+
+        monkeypatch.setattr(estimation, "minimize", recording)
         X = simulate_path(diagonal_benchmark_spec(25), T=1450, burn_in=1000,
                           rng_seed=np.random.SeedSequence(5).spawn(6)[k])
         Y, target = self.rotated(X[origin - 1200:origin])
@@ -384,6 +393,14 @@ class TestDiagonalProfileFit:
         assert diag.converged
         assert diag.nll <= best + 1e-7
         assert diag.kkt_residual <= estimation.KKT_TOL
+        # a converged profile fit runs only its polishes: no L-BFGS-B run
+        assert runs and all(method is estimation._projected_newton for method, _ in runs)
+        assert len(diag.start_traces) == len(runs)
+        winner = min((res for _, res in runs), key=lambda res: res.fun)
+        trace = next(t for t in diag.start_traces if t["nll"] == diag.nll)
+        assert (trace["iterations"], trace["evaluations"]) == (winner.nit, winner.nfev)
+        assert diag.n_iterations == winner.nit
+        assert winner.kkt_residual == diag.kkt_residual
 
     @pytest.mark.parametrize("fit_b", [True, False])
     @pytest.mark.parametrize("p", [3, 5])

@@ -9,8 +9,9 @@ every layer once, so all metrics must come out of it.
 ``tracing.layer_metrics`` divides by the ``estimation.minimize`` runs under
 each ``estimation.fit_equation`` span (``estimation.eval_us``,
 ``estimation.starts_converged_ratio``). The warm-up fits only diagonal
-models, so every one of those fits must still reach L-BFGS-B through the
-patched ``estimation.minimize``.
+models, so every one of those fits must still make at least one run through
+the patched ``estimation.minimize``: its projected-Newton polish, or the
+L-BFGS-B starts it falls back on.
 """
 
 import sys

@@ -98,9 +98,7 @@ class ModelFit:
 
     @property
     def dynamics(self) -> DynamicsParams:
-        return DynamicsParams(
-            A=self.kappas[:, :-1].copy(), b=self.kappas[:, -1].copy(), diag_a=self.diag_a
-        )
+        return DynamicsParams(A=self.kappas[:, :-1].copy(), b=self.kappas[:, -1].copy())
 
     def spec(self) -> ModelSpec:
         return ModelSpec(

@@ -57,6 +57,8 @@ class ExperimentConfig:
             raise ValidationError("need at least one replication")
         if self.T < 100:
             raise ValidationError("need T >= 100")
+        if len(self.dimensions) == 0:
+            raise ValidationError("need at least one dimension")
         if any(p < 1 for p in self.dimensions):
             raise ValidationError("dimensions must be >= 1")
         bad = [e for e in self.estimators if e not in ("ste", "qmle")]
@@ -99,7 +101,7 @@ def diagonal_benchmark_spec(p: int) -> ModelSpec:
         raise ValidationError(f"dimension must be at least 1, got p={p}")
     lam = np.array([(p + 1 - i) / 10.0 for i in range(1, p + 1)])
     V = givens_product(np.full(p * (p - 1) // 2, 0.5), p)
-    dyn = DynamicsParams(A=0.05 * np.eye(p), b=np.full(p, 0.85), diag_a=True)
+    dyn = DynamicsParams(A=0.05 * np.eye(p), b=np.full(p, 0.85))
     return ModelSpec.from_targets(SpectralTarget(lam=lam, V=V), dyn)
 
 
@@ -116,7 +118,7 @@ def density_case_spec(case: int) -> ModelSpec:
         raise ValidationError(f"case must be 1, 2 or 3, got {case}")
     V = givens_product([np.arctan2(0.45, 0.89)], 2)
     a1, a2 = _CASE_ARCH[case]
-    dyn = DynamicsParams(A=np.diag([a1, a2]), b=np.zeros(2), diag_a=True)
+    dyn = DynamicsParams(A=np.diag([a1, a2]), b=np.zeros(2))
     return ModelSpec.from_intercepts(V, np.array([1.5, 0.46]), dyn)
 
 

@@ -46,13 +46,10 @@ class DynamicsParams:
         p x p non-negative ARCH loading matrix (row i feeds equation i).
     b : ndarray
         p-vector of non-negative diagonal GARCH coefficients.
-    diag_a : bool
-        Marks A as restricted to its diagonal.
     """
 
     A: np.ndarray
     b: np.ndarray
-    diag_a: bool = False
 
     def __post_init__(self):
         A = np.atleast_2d(np.asarray(self.A, dtype=float))
@@ -63,8 +60,6 @@ class DynamicsParams:
             raise ValidationError("b must be a p-vector matching A")
         if (A < 0).any() or (b < 0).any():
             raise ValidationError("dynamic coefficients must be non-negative")
-        if self.diag_a and np.abs(A - np.diag(np.diag(A))).max() > 0:
-            raise ValidationError("diag_a is set but A has off-diagonal entries")
         object.__setattr__(self, "A", A)
         object.__setattr__(self, "b", b)
 
@@ -274,7 +269,7 @@ def _advance_paths(spec: ModelSpec, Z: np.ndarray, Y: np.ndarray,
     ``A @ y**2`` does, so no path depends on the others in its block.
     """
     A, b, W = spec.dynamics.A, spec.dynamics.b, spec.W
-    a = np.diag(A) if spec.dynamics.diag_a else None
+    a = np.diag(A) if np.array_equal(A, np.diag(np.diag(A))) else None
     lam = np.tile(spec.lam if spec.lam is not None else W, (Z.shape[0], 1))
     # iterating time-major views costs less per step than indexing Z[:, t]
     lam_rows = itertools.repeat(None) if lam_path is None else lam_path.swapaxes(0, 1)

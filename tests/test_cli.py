@@ -2,10 +2,15 @@
 
 import csv
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import eigengarch
 from eigengarch import (
     ConvergenceError,
     _blas,
@@ -302,6 +307,53 @@ class TestConfigFile:
         cfg.write_text('{"dgp": "case2",')
         assert run(["simulate", "--config", cfg, "--out", tmp_path]) == 2
         assert capsys.readouterr().err.startswith("error: cannot read config")
+
+
+class TestBadValues:
+    """Flags and config entries go through one parser: a bad value is exit 2."""
+
+    @pytest.mark.parametrize("command, entry", [
+        ("simulate", {"T": "abc"}),
+        ("simulate", {"T": None}),
+        ("simulate", {"T": [1, 2]}),
+        ("estimate", {"diag_a": "false"}),
+    ])
+    def test_bad_config_value_is_2(self, command, entry, sim_dir, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"input": str(sim_dir / "panel.csv"), **entry}))
+        out = tmp_path / "out"
+        assert run([command, "--config", cfg, "--out", out]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("dims", ["2,x", "", ","])
+    def test_bad_dims_is_2(self, dims, tmp_path, capsys):
+        assert run(["bench-re", "--dims", dims, "--n-reps", "2", "--T", "500",
+                    "--estimators", "ste", "--out", tmp_path]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+        assert not (tmp_path / "relative_efficiency.json").exists()
+
+    def test_config_lists_for_dims_and_estimators(self, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"dims": [2], "estimators": ["ste"], "n_reps": 2,
+                                   "T": 500}))
+        assert run(["bench-re", "--config", cfg, "--out", tmp_path]) == 0
+        payload = json.loads((tmp_path / "relative_efficiency.json").read_text())
+        assert [row["p"] for row in payload["rows"]] == [2]
+        assert payload["rows"][0]["re"] is None
+
+    def test_process_exits_2_without_traceback(self, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"T": "abc"}))
+        src = Path(eigengarch.__file__).parents[1]
+        env = {**os.environ, "PYTHONPATH": str(src)}
+        proc = subprocess.run(
+            [sys.executable, "-m", "eigengarch.cli", "simulate", "--config", str(cfg),
+             "--out", str(tmp_path / "out")],
+            capture_output=True, text=True, env=env, timeout=120)
+        assert proc.returncode == 2
+        assert proc.stderr.startswith("error: ")
+        assert "Traceback" not in proc.stderr
 
 
 class TestExitCodes:

@@ -422,7 +422,7 @@ class TestDiagonalProfileFit:
         # at a = 0 the path is lam_i whatever b, so the fit must stop on the
         # face with the static criterion; on this panel equations 1 and 2 do
         lam = np.array([0.5, 1.0, 2.0])
-        dyn = DynamicsParams(A=np.zeros((3, 3)), b=np.zeros(3), diag_a=True)
+        dyn = DynamicsParams(A=np.zeros((3, 3)), b=np.zeros(3))
         X = simulate_path(ModelSpec.from_intercepts(np.eye(3), lam, dyn), T=2000,
                           burn_in=100, rng_seed=2)
         fit = fit_spectral_targeting(X, diag_a=True, fit_b=fit_b)
@@ -476,7 +476,7 @@ class TestFitSpectralTargeting:
 
     def test_identity_rotation_recovered(self):
         lam = np.array([0.4, 1.0])
-        dyn = DynamicsParams(A=np.diag([0.2, 0.3]), b=np.zeros(2), diag_a=True)
+        dyn = DynamicsParams(A=np.diag([0.2, 0.3]), b=np.zeros(2))
         spec = ModelSpec.from_intercepts(np.eye(2), lam * (1 - np.diag(dyn.A)), dyn)
         X = simulate_path(spec, T=10_000, burn_in=500, rng_seed=9)
         fit = fit_spectral_targeting(X, diag_a=True)

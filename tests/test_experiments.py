@@ -48,6 +48,8 @@ class TestConfig:
             ExperimentConfig(T=10)
         with pytest.raises(ValidationError):
             ExperimentConfig(estimators=("ste", "bogus"))
+        with pytest.raises(ValidationError, match="at least one dimension"):
+            ExperimentConfig(dimensions=[])
 
 
 class TestBenchmarkSpecs:

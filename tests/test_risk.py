@@ -39,7 +39,6 @@ def truth_fit(spec: ModelSpec) -> ModelFit:
         W=spec.W.copy(),
         equation_nlls=np.zeros(p),
         method="STE",
-        diag_a=spec.dynamics.diag_a,
     )
 
 
@@ -282,7 +281,7 @@ class TestReanchoredPath:
         p, T, n = 3, 700, 300
         rng = np.random.default_rng(6)
         A = 0.04 * np.eye(p) + (0.01 if full_a else 0.0) * (1.0 - np.eye(p))
-        dyn = DynamicsParams(A=A, b=np.full(p, b), diag_a=not full_a)
+        dyn = DynamicsParams(A=A, b=np.full(p, b))
         W = np.array([0.01, 0.02, 0.03]) * (1.0 - min(b, 0.95))
         spec = ModelSpec(V=np.eye(p), dynamics=dyn, W=W, lam=np.array([0.5, 1.0, 2.0]))
         Y = rng.standard_normal((T, p)) * np.sqrt([0.5, 1.0, 2.0])

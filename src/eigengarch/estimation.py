@@ -50,7 +50,8 @@ MAX_ITERATIONS = 500   # iteration cap of every L-BFGS-B run
 A_MAX = 1.0            # upper bound of every ARCH loading
 B_MAX = 1.0 - 1e-6     # upper bound of every persistence coefficient
 W_FLOOR_REL = 1e-10    # smallest feasible intercept, relative to its target
-KKT_TOL = 1e-6         # box KKT residual at which a diagonal-A profile fit has converged
+KKT_TOL = 1e-6         # box KKT residual at which a diagonal-A profile fit has converged,
+                       # and above which a scaled joint-QMLE run restarts once
 # start schemes (own ARCH loading, other ARCH loadings, persistence): full-A
 # equation fits run all three, as does a diagonal-A fit whose profile search
 # does not converge; the joint QMLE runs the first two
@@ -370,6 +371,13 @@ def _kkt_residual(x: np.ndarray, grad: np.ndarray, lo: np.ndarray, hi: np.ndarra
     return float(np.max(np.abs(np.where(_held(x, grad, lo, hi), 0.0, grad)), initial=0.0))
 
 
+def _on_bounds(names, x: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> list:
+    """"name=lower" or "name=upper" for each coordinate within 1e-10 of a bound."""
+    at_lo, at_hi = x <= lo + 1e-10, x >= hi - 1e-10
+    return [f"{name}={'lower' if low else 'upper'}"
+            for name, low, high in zip(names, at_lo, at_hi) if low or high]
+
+
 def _trace(start: np.ndarray, res) -> dict:
     """One start's trace record from its optimizer result."""
     return {
@@ -395,19 +403,47 @@ def _diagnostics(res, active: list, traces: list) -> EquationDiagnostics:
     )
 
 
-def _run_starts(objective, starts, lo: np.ndarray, hi: np.ndarray):
-    """One L-BFGS-B run of at most ``MAX_ITERATIONS`` from every start on [lo, hi].
+def _lbfgsb(objective, x0: np.ndarray, lo: np.ndarray, hi: np.ndarray, s=None):
+    """One L-BFGS-B run of at most ``MAX_ITERATIONS`` from x0 on [lo, hi], made
+    in the coordinates z = x / s when a scale s is given, and reported in x.
 
-    Returns the optimizer results and one trace record per start; picking
-    the winner is left to the caller. Each result and trace carries the
-    ``kkt_residual`` of its end point, from the gradient there (``res.jac``).
+    The result's x (clipped to the box against rounding in z * s), gradient
+    ``jac`` and ``kkt_residual`` are all in x.
+    """
+    if s is None:
+        fun, s = objective, 1.0
+    else:
+        def fun(z):
+            value, grad = objective(z * s)
+            return value, grad * s
+
+    res = minimize(fun, x0 / s, jac=True, method="L-BFGS-B", bounds=Bounds(lo / s, hi / s),
+                   options={"maxiter": MAX_ITERATIONS, "gtol": GRAD_TOL, "ftol": 1e-14})
+    res.x = np.clip(res.x * s, lo, hi)
+    res.jac = res.jac / s
+    res.kkt_residual = _kkt_residual(res.x, res.jac, lo, hi)
+    return res
+
+
+def _run_starts(objective, starts, lo: np.ndarray, hi: np.ndarray, scale=None):
+    """One L-BFGS-B run from every start on [lo, hi]; see ``_lbfgsb``.
+
+    With ``scale``, each run is made in the coordinates x / scale(x0), and a
+    run that ends with its box KKT residual above ``KKT_TOL`` restarts once
+    from its end point, scaled there; the restart's iterations and
+    evaluations are added to the run's. Returns the optimizer results and
+    one trace record per start, all in x; picking the winner is left to the
+    caller. Each result and trace carries the ``kkt_residual`` of its end
+    point, from the gradient there (``res.jac``).
     """
     results, traces = [], []
     for x0 in starts:
-        res = minimize(objective, x0, jac=True, method="L-BFGS-B", bounds=Bounds(lo, hi),
-                       options={"maxiter": MAX_ITERATIONS,
-                                "gtol": GRAD_TOL, "ftol": 1e-14})
-        res.kkt_residual = _kkt_residual(res.x, res.jac, lo, hi)
+        res = _lbfgsb(objective, x0, lo, hi, None if scale is None else scale(x0))
+        if scale is not None and res.kkt_residual > KKT_TOL:
+            first = res
+            res = _lbfgsb(objective, first.x, lo, hi, scale(first.x))
+            res.nit += first.nit
+            res.nfev += first.nfev
         results.append(res)
         traces.append(_trace(x0, res))
     return results, traces
@@ -611,13 +647,7 @@ def fit_equation(Y: np.ndarray, gamma_hat, i: int,
     best = min(converged, key=lambda res: res.fun)
     kappa = np.zeros(p + 1)
     kappa[free] = best.x
-    active = []
-    for slot, idx in enumerate(free):
-        name = "b" if idx == p else f"a[{idx}]"
-        if best.x[slot] <= lo[slot] + 1e-10:
-            active.append(f"{name}=lower")
-        elif best.x[slot] >= hi[slot] - 1e-10:
-            active.append(f"{name}=upper")
+    active = _on_bounds(["b" if idx == p else f"a[{idx}]" for idx in free], best.x, lo, hi)
     w = (1.0 - kappa[p]) * lam_vec[i] - float(kappa[:p] @ lam_vec)
     if w < 1e-8 * lam_vec[i]:
         active.append("w=floor")
@@ -716,6 +746,43 @@ def _match_angles(V_hat: np.ndarray, lower: float, upper: float):
     return best.x, float(best.fun)
 
 
+def _unpack(theta: np.ndarray, p: int, diag_a: bool):
+    """(lam, phi, kappas, mask) from theta = [lam, phi, kappas[mask]],
+    mask = ``_free_mask(p, diag_a)``."""
+    n_phi = p * (p - 1) // 2
+    mask = _free_mask(p, diag_a)
+    kappas = np.zeros((p, p + 1))
+    kappas[mask] = theta[p + n_phi:]
+    return theta[:p], theta[p:p + n_phi], kappas, mask
+
+
+def _joint_scale(theta: np.ndarray, X: np.ndarray, p: int, diag_a: bool) -> np.ndarray:
+    """Scale s of the joint QMLE's coordinates z = theta / s, set at theta.
+
+    Each eigenvalue is scaled by its value at theta; the angles are not
+    scaled. Each free coefficient kappa_j of equation i is scaled by
+    1 / sqrt(I_jj), where I_jj = mean_t((dlam_t / dkappa_j) / lam_t)^2 is
+    the diagonal of the equation's information at theta: unlike the
+    Hessian's diagonal away from an optimum, it is never negative. A
+    coefficient whose I_jj is zero (b when every loading is zero, since the
+    path is then flat in b) or whose equation is infeasible keeps scale 1.
+    """
+    lam_vec, phi, kappas, mask = _unpack(theta, p, diag_a)
+    Y2 = (X @ givens_product(phi, p)) ** 2
+    info = np.zeros((p, p + 1))
+    for i in range(p):
+        Z, z_lam = (Y2[:, [i]], lam_vec[[i]]) if diag_a else (Y2, lam_vec)
+        lam = _equation_kernel(kappas[i, mask[i]], Z, z_lam, Y2[:, i], lam_vec[i])[2]
+        if lam is not None:
+            dlam = _lam_derivs(Z, z_lam, lam_vec[i], kappas[i, p], lam)
+            info[i, mask[i]] = np.mean((dlam / lam[:, None]) ** 2, axis=0)
+    info = info[mask]  # packed as theta's coefficients
+    s = np.ones_like(theta)
+    s[:p] = lam_vec
+    s[p + phi.shape[0]:] = 1.0 / np.sqrt(np.where(info > 0.0, info, 1.0))
+    return s
+
+
 def _joint_nll_grad(theta: np.ndarray, X: np.ndarray, p: int, diag_a: bool):
     """Joint criterion with the analytic gradient wrt (lam, phi, kappa).
 
@@ -727,12 +794,8 @@ def _joint_nll_grad(theta: np.ndarray, X: np.ndarray, p: int, diag_a: bool):
     An infeasible equation contributes the pull-back of ``_penalized``.
     """
     n_phi = p * (p - 1) // 2
-    mask = _free_mask(p, diag_a)
     T = X.shape[0]
-    lam_vec = theta[:p]
-    phi = theta[p:p + n_phi]
-    kappas = np.zeros((p, p + 1))
-    kappas[mask] = theta[p + n_phi:]
+    lam_vec, phi, kappas, mask = _unpack(theta, p, diag_a)
     grad = np.zeros_like(theta)
     g_kappas = np.zeros((p, p + 1))
 
@@ -781,8 +844,14 @@ def fit_joint_qmle(X, diag_a: bool = False) -> ModelFit:
     constrained to (0, pi/2) for identification; after optimization the
     result is renormalized to the sorted/sign-fixed convention so it is
     directly comparable with the two-step fit. The fit runs the first two
-    ``START_SCHEMES``. Non-convergence is reported through the ``converged``
-    flag and per-start traces, never hidden.
+    ``START_SCHEMES``, each in the coordinates of ``_joint_scale`` at its
+    start and restarted once when it ends above ``KKT_TOL`` (see
+    ``_run_starts``); bounds, traces and diagnostics are in the natural
+    coordinates. Non-convergence is reported through the ``converged``
+    flag and per-start traces, never hidden. The active constraints name
+    eigenvalues and coefficients by their identified index (``lam[k]``,
+    ``a[i,j]``, ``b[i]``, as in ``ModelFit.kappas``) and angles by their
+    optimizer index (``phi[m]``).
     """
     Xv = _checked_panel(X)
     p = Xv.shape[1]
@@ -804,7 +873,8 @@ def fit_joint_qmle(X, diag_a: bool = False) -> ModelFit:
 
     starts = [np.concatenate([lam0, phi0, _start_kappas(p, *scheme)[mask]])
               for scheme in START_SCHEMES[:2]]
-    kappa_lo, kappa_hi = _bounds(np.nonzero(mask)[1], p)
+    rows, cols = np.nonzero(mask)
+    kappa_lo, kappa_hi = _bounds(cols, p)
     lo = np.concatenate([np.full(p, 1e-8), np.full(n_phi, phi_lo), kappa_lo])
     hi = np.concatenate([np.full(p, np.inf), np.full(n_phi, phi_hi), kappa_hi])
 
@@ -812,28 +882,25 @@ def fit_joint_qmle(X, diag_a: bool = False) -> ModelFit:
         value, grad, _ = _joint_nll_grad(theta, Xv, p, diag_a)
         return value, grad
 
-    results, traces = _run_starts(objective, starts, lo, hi)
+    results, traces = _run_starts(objective, starts, lo, hi,
+                                  scale=lambda theta: _joint_scale(theta, Xv, p, diag_a))
     best = min(results, key=lambda res: res.fun)
-    lam_vec = best.x[:p]
-    phi = best.x[p:p + n_phi]
+    lam_vec, phi, kappas, _ = _unpack(best.x, p, diag_a)
     V = givens_product(phi, p)
-    kappas = np.zeros((p, p + 1))
-    kappas[mask] = best.x[p + n_phi:]
 
     # renormalize to the identified convention: sort eigenvalues ascending,
     # sign-fix columns, permute equations and spill-over columns alike
     order = np.argsort(lam_vec, kind="stable")
+    rank = np.argsort(order)
     lam_sorted = lam_vec[order]
     V_sorted = _sign_fix(V[:, order])
     kappas = np.hstack([kappas[:, :p][np.ix_(order, order)], kappas[order, p:]])
     target = SpectralTarget(lam=lam_sorted, V=V_sorted,
                             recon_residual=0.0, near_repeated=False)
-    active = []
-    for m in range(n_phi):
-        if phi[m] <= phi_lo + 1e-9:
-            active.append(f"phi[{m}]=lower")
-        elif phi[m] >= phi_hi - 1e-9:
-            active.append(f"phi[{m}]=upper")
+    names = ([f"lam[{rank[k]}]" for k in range(p)] + [f"phi[{m}]" for m in range(n_phi)]
+             + [f"b[{rank[i]}]" if j == p else f"a[{rank[i]},{rank[j]}]"
+                for i, j in zip(rows, cols)])
+    active = _on_bounds(names, best.x, lo, hi)
 
     Ysorted = rotate_returns(Xv, V_sorted)
     nlls = np.array([

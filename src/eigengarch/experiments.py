@@ -72,7 +72,7 @@ class RelativeEfficiencyRow:
 
     p: int
     n_params: int
-    time_ste: float
+    time_ste: Optional[float]
     time_qmle: Optional[float]
     re: Optional[float]
     qmle_failure_rate: float = 0.0
@@ -237,7 +237,7 @@ def run_relative_efficiency(cfg: ExperimentConfig) -> list[RelativeEfficiencyRow
             RelativeEfficiencyRow(
                 p=p,
                 n_params=n_params,
-                time_ste=float(np.mean(t_ste)) if t_ste else float("nan"),
+                time_ste=float(np.mean(t_ste)) if t_ste else None,
                 time_qmle=float(np.mean(t_qmle)) if t_qmle else None,
                 re=re,
                 qmle_failure_rate=failure_rate,

@@ -237,6 +237,22 @@ class TestBenchRe:
         payload = json.loads((tmp_path / "relative_efficiency.json").read_text())
         assert payload["rows"][0]["re"] is None
 
+    def test_qmle_only_writes_strict_json(self, tmp_path):
+        # NaN, Infinity and -Infinity are not JSON (RFC 8259)
+        assert run(["bench-re", "--dims", "1", "--n-reps", "1", "--T", "100",
+                    "--estimators", "qmle", "--out", tmp_path]) == 0
+
+        def refuse(name):
+            raise ValueError(f"non-JSON constant {name}")
+
+        payload = json.loads((tmp_path / "relative_efficiency.json").read_text(),
+                             parse_constant=refuse)
+        row = payload["rows"][0]
+        assert row["time_ste"] is None and row["time_qmle"] > 0
+        with open(tmp_path / "relative_efficiency.csv") as fh:
+            rows = list(csv.reader(fh))
+        assert rows[1][3] == ""
+
 
 class TestDensityStudy:
     def test_outputs(self, tmp_path):

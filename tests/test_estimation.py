@@ -559,6 +559,154 @@ class TestJointQMLE:
             assert all(set(t) == keys for t in d.start_traces)
             assert d.kkt_residual in [t["kkt_residual"] for t in d.start_traces]
 
+    def test_active_constraints_name_every_coefficient_on_a_bound(self):
+        # case 1 has b = 0 and no spill-overs; on this panel b[0] and a[0,1]
+        # of the identified order end on their lower bound
+        fit = fit_joint_qmle(case1_panel(T=2000, seed=42))
+        active = fit.diagnostics[0].active_constraints
+        p = fit.p
+        on_bound = [f"b[{i}]=lower" if j == p else f"a[{i},{j}]=lower"
+                    for i, j in zip(*np.nonzero(fit.kappas <= 1e-10))]
+        assert "b[0]=lower" in on_bound
+        assert sorted(c for c in active if c[0] in "ab") == sorted(on_bound)
+        assert all(c.startswith(("lam[", "phi[", "a[", "b[")) for c in active)
+
+
+def spy_run_starts(monkeypatch):
+    """Record the arguments and results of every ``_run_starts`` call."""
+    calls = []
+    original = estimation._run_starts
+
+    def spy(objective, starts, lo, hi, scale=None):
+        results, traces = original(objective, starts, lo, hi, scale)
+        calls.append({"objective": objective, "starts": starts, "lo": lo, "hi": hi,
+                      "scale": scale, "results": results})
+        return results, traces
+
+    monkeypatch.setattr(estimation, "_run_starts", spy)
+    return calls
+
+
+class TestScaledJointQMLE:
+    def test_studies_replications_match_the_unscaled_runs(self, monkeypatch):
+        # the benchmark's replications: same optimum as unscaled L-BFGS-B from
+        # the same starts, in at most 200 evaluations per fit
+        calls = spy_run_starts(monkeypatch)
+        for rep in (0, 1):
+            X = simulate_path(diagonal_benchmark_spec(5), T=2000, burn_in=1000,
+                              rng_seed=rep)
+            diag = fit_joint_qmle(X, diag_a=True).diagnostics[0]
+            call = calls[-1]
+            assert call["scale"] is not None
+            reference, _ = estimation._run_starts(call["objective"], call["starts"],
+                                                  call["lo"], call["hi"])
+            assert diag.converged
+            assert abs(diag.nll - min(res.fun for res in reference)) <= 1e-9
+            assert sum(t["evaluations"] for t in diag.start_traces) <= 200
+
+    def test_traces_are_in_natural_coordinates(self, monkeypatch):
+        calls = spy_run_starts(monkeypatch)
+        X = simulate_path(diagonal_benchmark_spec(3), T=1500, burn_in=1000, rng_seed=4)
+        diag = fit_joint_qmle(X, diag_a=True).diagnostics[0]
+        (call,) = calls
+        p, n_phi, lo, hi = 3, 3, call["lo"], call["hi"]
+        mask = _free_mask(p, True)
+        for trace, res, scheme in zip(diag.start_traces, call["results"],
+                                      estimation.START_SCHEMES):
+            start = trace["start"]
+            # rotated eigenvalues keep the trace of the second-moment matrix
+            assert start[:p].sum() == pytest.approx(np.mean(np.sum(X * X, axis=1)))
+            np.testing.assert_array_equal(start[p + n_phi:],
+                                          estimation._start_kappas(p, *scheme)[mask])
+            assert np.all((res.x >= lo) & (res.x <= hi))
+            value, grad, _ = _joint_nll_grad(res.x, X, p, True)
+            assert trace["nll"] == pytest.approx(value, abs=1e-12)
+            assert trace["kkt_residual"] == pytest.approx(
+                estimation._kkt_residual(res.x, grad, lo, hi), rel=1e-6, abs=1e-12)
+
+    def test_scales_are_finite_and_positive_on_the_p2_desk_bank(self, monkeypatch):
+        from eigengarch.experiments import ExperimentConfig, run_relative_efficiency
+
+        scales = []
+        original = estimation._joint_scale
+
+        def spy(*args):
+            scales.append(original(*args))
+            return scales[-1]
+
+        monkeypatch.setattr(estimation, "_joint_scale", spy)
+        run_relative_efficiency(ExperimentConfig(dimensions=[2], n_replications=50,
+                                                 T=2000, seed=11, estimators=("qmle",)))
+        assert len(scales) >= 100
+        assert all(np.all(np.isfinite(s) & (s > 0.0)) for s in scales)
+
+    def test_scale_reads_the_information_diagonal(self):
+        # oracle: the path's derivatives by central differences
+        X = case1_panel(T=1000, seed=5)
+        p, h = 2, 1e-6
+        theta = np.array([0.7, 2.1, 0.6, 0.05, 0.85, 0.1, 0.8])
+        s = estimation._joint_scale(theta, X, p, True)
+        np.testing.assert_array_equal(s[:p + 1], [0.7, 2.1, 1.0])
+        Y2 = rotate_returns(X, givens_product(theta[p:p + 1], p)) ** 2
+        for i in range(p):
+            kappa = theta[p + 1 + 2 * i:p + 3 + 2 * i]
+
+            def path(x):
+                return _equation_kernel(x, Y2[:, [i]], theta[[i]], Y2[:, i], theta[i])[2]
+
+            lam = path(kappa)
+            for j, step in enumerate(h * np.eye(2)):
+                dlam = (path(kappa + step) - path(kappa - step)) / (2 * h)
+                info = np.mean((dlam / lam) ** 2)
+                assert s[p + 1 + 2 * i + j] == pytest.approx(info ** -0.5, rel=1e-6)
+        # with no loading the path is flat in b: no information, scale 1
+        theta[3] = 0.0
+        assert estimation._joint_scale(theta, X, p, True)[4] == 1.0
+
+    def test_runs_that_stop_short_restart_once(self, monkeypatch):
+        # a badly scaled quadratic: its first run is cut after one iteration
+        # and restarts once; a run that converges does not restart
+        weights = np.array([1.0, 1e4])
+
+        def objective(x):
+            return float(weights @ (x - 1.0) ** 2), 2.0 * weights * (x - 1.0)
+
+        runs = []
+        original = estimation._lbfgsb
+
+        def spy(*args):
+            res = original(*args)
+            runs.append((res, res.nit, res.nfev))
+            return res
+
+        monkeypatch.setattr(estimation, "_lbfgsb", spy)
+        lo, hi, x0 = np.zeros(2), np.full(2, 5.0), np.full(2, 3.0)
+
+        def scale(x):
+            return 1.0 / np.sqrt(weights)
+
+        (res,), (trace,) = estimation._run_starts(objective, [x0], lo, hi, scale=scale)
+        assert len(runs) == 1 and res.kkt_residual <= estimation.KKT_TOL
+        assert trace["evaluations"] == runs[0][2]
+        np.testing.assert_allclose(res.x, [1.0, 1.0], atol=1e-8)
+        np.testing.assert_allclose(res.jac, objective(res.x)[1], atol=1e-12)
+
+        runs.clear()
+        monkeypatch.setattr(estimation, "MAX_ITERATIONS", 1)
+        (res,), (trace,) = estimation._run_starts(objective, [x0], lo, hi, scale=scale)
+        (first, *first_counts), (restart, *restart_counts) = runs
+        assert first.kkt_residual > estimation.KKT_TOL
+        assert res is restart and first_counts[0] == 1
+        assert [trace["iterations"], trace["evaluations"]] == [
+            first_counts[0] + restart_counts[0], first_counts[1] + restart_counts[1]]
+        np.testing.assert_array_equal(trace["start"], x0)
+        assert trace["kkt_residual"] == estimation._kkt_residual(
+            res.x, objective(res.x)[1], lo, hi)
+        # without a scale there is no restart
+        runs.clear()
+        estimation._run_starts(objective, [x0], lo, hi)
+        assert len(runs) == 1
+
 
 class TestConsistencyScaling:
     def test_every_parameter_improves_with_sample_size(self):

@@ -264,9 +264,10 @@ def cmd_bench_re(args) -> int:
     rows = run_relative_efficiency(cfg)
     # csv writes None as an empty field
     _write_csv(args.out / "relative_efficiency.csv",
-               ["p", "n_params", "time_qmle", "time_ste", "re", "flagged"],
-               ([r.p, r.n_params, r.time_qmle, r.time_ste, r.re, int(r.flagged)]
-                for r in rows))
+               ["p", "n_params", "time_qmle", "time_ste", "re", "flagged",
+                "qmle_evaluations", "qmle_fallbacks"],
+               ([r.p, r.n_params, r.time_qmle, r.time_ste, r.re, int(r.flagged),
+                 r.qmle_evaluations, r.qmle_fallbacks] for r in rows))
     _write_json(args.out / "relative_efficiency.json",
                 {"rows": [r.to_dict() for r in rows],
                  "n_replications": cfg.n_replications, "T": cfg.T,

@@ -403,9 +403,11 @@ def _diagnostics(res, active: list, traces: list) -> EquationDiagnostics:
     )
 
 
-def _lbfgsb(objective, x0: np.ndarray, lo: np.ndarray, hi: np.ndarray, s=None):
-    """One L-BFGS-B run of at most ``MAX_ITERATIONS`` from x0 on [lo, hi], made
-    in the coordinates z = x / s when a scale s is given, and reported in x.
+def _lbfgsb(objective, x0: np.ndarray, lo: np.ndarray, hi: np.ndarray, s=None,
+            maxiter=None):
+    """One L-BFGS-B run of at most ``maxiter`` iterations (``MAX_ITERATIONS``
+    when None) from x0 on [lo, hi], made in the coordinates z = x / s when a
+    scale s is given, and reported in x.
 
     The result's x (clipped to the box against rounding in z * s), gradient
     ``jac`` and ``kkt_residual`` are all in x.
@@ -418,7 +420,8 @@ def _lbfgsb(objective, x0: np.ndarray, lo: np.ndarray, hi: np.ndarray, s=None):
             return value, grad * s
 
     res = minimize(fun, x0 / s, jac=True, method="L-BFGS-B", bounds=Bounds(lo / s, hi / s),
-                   options={"maxiter": MAX_ITERATIONS, "gtol": GRAD_TOL, "ftol": 1e-14})
+                   options={"maxiter": MAX_ITERATIONS if maxiter is None else maxiter,
+                            "gtol": GRAD_TOL, "ftol": 1e-14})
     res.x = np.clip(res.x * s, lo, hi)
     res.jac = res.jac / s
     res.kkt_residual = _kkt_residual(res.x, res.jac, lo, hi)
@@ -429,8 +432,9 @@ def _run_starts(objective, starts, lo: np.ndarray, hi: np.ndarray, scale=None):
     """One L-BFGS-B run from every start on [lo, hi]; see ``_lbfgsb``.
 
     With ``scale``, each run is made in the coordinates x / scale(x0), and a
-    run that ends with its box KKT residual above ``KKT_TOL`` restarts once
-    from its end point, scaled there; the restart's iterations and
+    run that ends with its box KKT residual above ``KKT_TOL`` before
+    ``MAX_ITERATIONS`` restarts once from its end point, scaled there, with
+    the iterations the first run left; the restart's iterations and
     evaluations are added to the run's. Returns the optimizer results and
     one trace record per start, all in x; picking the winner is left to the
     caller. Each result and trace carries the ``kkt_residual`` of its end
@@ -439,9 +443,10 @@ def _run_starts(objective, starts, lo: np.ndarray, hi: np.ndarray, scale=None):
     results, traces = [], []
     for x0 in starts:
         res = _lbfgsb(objective, x0, lo, hi, None if scale is None else scale(x0))
-        if scale is not None and res.kkt_residual > KKT_TOL:
+        if scale is not None and res.kkt_residual > KKT_TOL and res.nit < MAX_ITERATIONS:
             first = res
-            res = _lbfgsb(objective, first.x, lo, hi, scale(first.x))
+            res = _lbfgsb(objective, first.x, lo, hi, scale(first.x),
+                          MAX_ITERATIONS - first.nit)
             res.nit += first.nit
             res.nfev += first.nfev
         results.append(res)
@@ -730,11 +735,7 @@ def _match_angles(V_hat: np.ndarray, lower: float, upper: float):
         V, dV = givens_product_derivatives(phi, p)
         dots = np.einsum("ij,ij->j", V, V_hat)
         val = float(p - np.sum(dots * dots))
-        grad = np.empty(n)
-        for k in range(n):
-            ddots = np.einsum("ij,ij->j", dV[k], V_hat)
-            grad[k] = -2.0 * float(np.sum(dots * ddots))
-        return val, grad
+        return val, -2.0 * np.tensordot(dV, V_hat * dots, axes=([1, 2], [0, 1]))
 
     best = None
     for start in (np.full(n, np.pi / 4), np.full(n, 0.5), np.full(n, 1.0)):
@@ -836,6 +837,12 @@ def _joint_nll_grad(theta: np.ndarray, X: np.ndarray, p: int, diag_a: bool):
     return total, grad, feasible
 
 
+def _permuted(kappas: np.ndarray, order: np.ndarray) -> np.ndarray:
+    """Coefficients with equations and spill-over columns alike in ``order``."""
+    p = kappas.shape[0]
+    return np.hstack([kappas[:, :p][np.ix_(order, order)], kappas[order, p:]])
+
+
 @single_threaded
 def fit_joint_qmle(X, diag_a: bool = False) -> ModelFit:
     """Joint QMLE over eigenvalues, rotation angles and all dynamics.
@@ -843,12 +850,23 @@ def fit_joint_qmle(X, diag_a: bool = False) -> ModelFit:
     The eigenvector matrix is parameterized by plane rotations with angles
     constrained to (0, pi/2) for identification; after optimization the
     result is renormalized to the sorted/sign-fixed convention so it is
-    directly comparable with the two-step fit. The fit runs the first two
-    ``START_SCHEMES``, each in the coordinates of ``_joint_scale`` at its
-    start and restarted once when it ends above ``KKT_TOL`` (see
-    ``_run_starts``); bounds, traces and diagnostics are in the natural
-    coordinates. Non-convergence is reported through the ``converged``
-    flag and per-start traces, never hidden. The active constraints name
+    directly comparable with the two-step fit.
+
+    The fit starts from the consistent two-step estimate
+    (``fit_spectral_targeting`` with the same ``diag_a``): the angles that
+    match its eigenvectors, the eigenvalues read off the rotated diagonal
+    and its coefficients permuted into the rotation branch's order. Where
+    the branch holds the two-step eigenvectors exactly, the start's joint
+    criterion is the two-step total, so the fit cannot end above it. The
+    first two ``START_SCHEMES`` run only when that run ends above
+    ``KKT_TOL`` or the two-step fit raises ``ConvergenceError``; their
+    traces follow its trace and the lowest run wins. Each run is made in the
+    coordinates of ``_joint_scale`` at its start (see ``_run_starts``);
+    bounds, traces and diagnostics are in the natural coordinates.
+
+    The fit has converged when the winner's box KKT residual is at most
+    ``KKT_TOL``; non-convergence is reported through the ``converged`` flag
+    and per-start traces, never hidden. The active constraints name
     eigenvalues and coefficients by their identified index (``lam[k]``,
     ``a[i,j]``, ``b[i]``, as in ``ModelFit.kappas``) and angles by their
     optimizer index (``phi[m]``).
@@ -859,20 +877,23 @@ def fit_joint_qmle(X, diag_a: bool = False) -> ModelFit:
     mask = _free_mask(p, diag_a)
 
     H = sample_covariance(Xv)
-    moment = eigen_sym(H)
+    try:
+        ste = fit_spectral_targeting(Xv, diag_a=diag_a)
+        moment = ste.target
+    except ConvergenceError:
+        ste, moment = None, eigen_sym(H)
     phi_lo, phi_hi = 1e-6, np.pi / 2 - 1e-6
 
     # The constrained rotation branch fixes its own column ordering, which
     # need not be the sorted one; try both orderings of the moment basis and
     # keep the better branch representative. lam starts are always read off
     # the rotated diagonal so the association with the angles is consistent.
-    phi0, _ = min((_match_angles(Vc, phi_lo, phi_hi)
-                   for Vc in (moment.V, moment.V[:, ::-1])), key=lambda match: match[1])
+    (phi0, _), order = min(((_match_angles(moment.V[:, order], phi_lo, phi_hi), order)
+                            for order in (np.arange(p), np.arange(p)[::-1])),
+                           key=lambda match: match[0][1])
     lam0 = np.einsum("ji,jk,ki->i", givens_product(phi0, p), H.values,
                      givens_product(phi0, p)) if n_phi else moment.lam.copy()
 
-    starts = [np.concatenate([lam0, phi0, _start_kappas(p, *scheme)[mask]])
-              for scheme in START_SCHEMES[:2]]
     rows, cols = np.nonzero(mask)
     kappa_lo, kappa_hi = _bounds(cols, p)
     lo = np.concatenate([np.full(p, 1e-8), np.full(n_phi, phi_lo), kappa_lo])
@@ -882,8 +903,16 @@ def fit_joint_qmle(X, diag_a: bool = False) -> ModelFit:
         value, grad, _ = _joint_nll_grad(theta, Xv, p, diag_a)
         return value, grad
 
-    results, traces = _run_starts(objective, starts, lo, hi,
-                                  scale=lambda theta: _joint_scale(theta, Xv, p, diag_a))
+    def run(kappa_starts):
+        return _run_starts(objective, [np.concatenate([lam0, phi0, kappas[mask]])
+                                       for kappas in kappa_starts], lo, hi,
+                           scale=lambda theta: _joint_scale(theta, Xv, p, diag_a))
+
+    results, traces = run([_permuted(ste.kappas, order)]) if ste is not None else ([], [])
+    if not results or results[0].kkt_residual > KKT_TOL:
+        more, more_traces = run([_start_kappas(p, *scheme) for scheme in START_SCHEMES[:2]])
+        results += more
+        traces += more_traces
     best = min(results, key=lambda res: res.fun)
     lam_vec, phi, kappas, _ = _unpack(best.x, p, diag_a)
     V = givens_product(phi, p)
@@ -894,13 +923,15 @@ def fit_joint_qmle(X, diag_a: bool = False) -> ModelFit:
     rank = np.argsort(order)
     lam_sorted = lam_vec[order]
     V_sorted = _sign_fix(V[:, order])
-    kappas = np.hstack([kappas[:, :p][np.ix_(order, order)], kappas[order, p:]])
+    kappas = _permuted(kappas, order)
     target = SpectralTarget(lam=lam_sorted, V=V_sorted,
                             recon_residual=0.0, near_repeated=False)
     names = ([f"lam[{rank[k]}]" for k in range(p)] + [f"phi[{m}]" for m in range(n_phi)]
              + [f"b[{rank[i]}]" if j == p else f"a[{rank[i]},{rank[j]}]"
                 for i, j in zip(rows, cols)])
     active = _on_bounds(names, best.x, lo, hi)
+    diagnostics = _diagnostics(best, active, traces)
+    diagnostics.converged = best.kkt_residual <= KKT_TOL
 
     Ysorted = rotate_returns(Xv, V_sorted)
     nlls = np.array([
@@ -913,6 +944,6 @@ def fit_joint_qmle(X, diag_a: bool = False) -> ModelFit:
         equation_nlls=nlls,
         method="joint-QMLE",
         diag_a=diag_a,
-        diagnostics=[_diagnostics(best, active, traces)],
-        converged=bool(best.success),
+        diagnostics=[diagnostics],
+        converged=diagnostics.converged,
     )

@@ -77,6 +77,8 @@ class RelativeEfficiencyRow:
     re: Optional[float]
     qmle_failure_rate: float = 0.0
     flagged: bool = False
+    qmle_evaluations: Optional[float] = None  # mean joint-criterion evaluations per fit
+    qmle_fallbacks: int = 0  # joint fits that ran the scheme starts
 
     def to_dict(self) -> dict:
         return {
@@ -87,6 +89,8 @@ class RelativeEfficiencyRow:
             "re": self.re,
             "qmle_failure_rate": self.qmle_failure_rate,
             "flagged": self.flagged,
+            "qmle_evaluations": self.qmle_evaluations,
+            "qmle_fallbacks": self.qmle_fallbacks,
         }
 
 
@@ -196,8 +200,10 @@ def run_relative_efficiency(cfg: ExperimentConfig) -> list[RelativeEfficiencyRow
     dimension, fits the requested estimators on each path, and reports mean
     CPU seconds per fit plus the quadratic-form efficiency ratio. A row is
     flagged (ratio withheld) when the joint estimator fails to converge in
-    more than ``QMLE_FAILURE_LIMIT`` of the replications. Runs serially so
-    the timings reflect a single core.
+    more than ``QMLE_FAILURE_LIMIT`` of the replications. Each row also
+    gives the joint fits' mean criterion evaluations and how many of them
+    fell back from the two-step start to the scheme starts. Runs serially
+    so the timings reflect a single core.
     """
     rows = []
     master = np.random.SeedSequence(cfg.seed)
@@ -206,8 +212,8 @@ def run_relative_efficiency(cfg: ExperimentConfig) -> list[RelativeEfficiencyRow
         theta0 = _theta_truth(spec)
         seeds = master.spawn(cfg.n_replications)
         ste_thetas, qmle_thetas = [], []
-        t_ste, t_qmle = [], []
-        qmle_failures = 0
+        t_ste, t_qmle, qmle_evals = [], [], []
+        qmle_failures = qmle_fallbacks = 0
         for seed in seeds:
             X = simulate_path(spec, T=cfg.T, burn_in=BURN_IN, rng_seed=seed)
             if "ste" in cfg.estimators:
@@ -221,6 +227,9 @@ def run_relative_efficiency(cfg: ExperimentConfig) -> list[RelativeEfficiencyRow
                 t_qmle.append(time.process_time() - t0)
                 if not jfit.converged:
                     qmle_failures += 1
+                traces = jfit.diagnostics[0].start_traces
+                qmle_evals.append(sum(t["evaluations"] for t in traces))
+                qmle_fallbacks += len(traces) > 1
                 qmle_thetas.append(_theta_vector(jfit))
         n_params = p * (p - 1) // 2 + 3 * p
         failure_rate = qmle_failures / cfg.n_replications if t_qmle else 0.0
@@ -242,6 +251,8 @@ def run_relative_efficiency(cfg: ExperimentConfig) -> list[RelativeEfficiencyRow
                 re=re,
                 qmle_failure_rate=failure_rate,
                 flagged=flagged,
+                qmle_evaluations=float(np.mean(qmle_evals)) if qmle_evals else None,
+                qmle_fallbacks=qmle_fallbacks,
             )
         )
     return rows

@@ -253,6 +253,36 @@ class TestBenchRe:
             rows = list(csv.reader(fh))
         assert rows[1][3] == ""
 
+    @pytest.mark.parametrize("ste_fails", [False, True])
+    def test_reports_qmle_evaluations_and_fallbacks(self, ste_fails, tmp_path, monkeypatch):
+        from eigengarch import estimation, experiments
+
+        fits = []
+        original = experiments.fit_joint_qmle
+
+        def spy(*args, **kwargs):
+            fits.append(original(*args, **kwargs))
+            return fits[-1]
+
+        def refuse(*args, **kwargs):
+            raise ConvergenceError("two-step fit failed", traces=[])
+
+        monkeypatch.setattr(experiments, "fit_joint_qmle", spy)
+        if ste_fails:  # the joint fit's own two-step start, not the study's STE fits
+            monkeypatch.setattr(estimation, "fit_spectral_targeting", refuse)
+        assert run(["bench-re", "--dims", "2", "--n-reps", "3", "--T", "500",
+                    "--seed", "5", "--out", tmp_path]) == 0
+        row = json.loads((tmp_path / "relative_efficiency.json").read_text())["rows"][0]
+        evaluations = [sum(t["evaluations"] for t in fit.diagnostics[0].start_traces)
+                       for fit in fits]
+        assert row["qmle_evaluations"] == pytest.approx(np.mean(evaluations))
+        assert row["qmle_fallbacks"] == (3 if ste_fails else 0)
+        with open(tmp_path / "relative_efficiency.csv") as fh:
+            header, values = list(csv.reader(fh))
+        assert header[-2:] == ["qmle_evaluations", "qmle_fallbacks"]
+        assert float(values[-2]) == pytest.approx(row["qmle_evaluations"])
+        assert int(values[-1]) == row["qmle_fallbacks"]
+
 
 class TestDensityStudy:
     def test_outputs(self, tmp_path):

@@ -2,8 +2,10 @@
 
 import numpy as np
 import pytest
+from scipy.optimize import OptimizeResult
 
 from eigengarch import (
+    ConvergenceError,
     DynamicsParams,
     ModelSpec,
     ValidationError,
@@ -28,6 +30,7 @@ from eigengarch.estimation import (
     _match_angles,
 )
 from eigengarch.experiments import density_case_spec, diagonal_benchmark_spec
+from eigengarch.spectral import SpectralTarget
 
 
 def case1_panel(T=10_000, seed=42):
@@ -322,7 +325,6 @@ class TestFitEquation:
         assert len(traces) == 1
 
     def test_all_starts_failing_raises(self, monkeypatch):
-        from eigengarch import ConvergenceError
         rng = np.random.default_rng(1)
         Y = rng.standard_normal((200, 1))
         lam = np.array([1.0])
@@ -549,10 +551,11 @@ class TestJointQMLE:
             assert col[np.abs(col) > 1e-12][0] > 0
 
     def test_start_traces_match_the_equation_fits(self):
+        # the two-step start converges here, so the schemes do not run
         X = case1_panel(T=1000, seed=29)
         ste = fit_spectral_targeting(X, diag_a=True)
         qmle = fit_joint_qmle(X, diag_a=True)
-        assert len(qmle.diagnostics[0].start_traces) == 2
+        assert len(qmle.diagnostics[0].start_traces) == 1
         keys = {"start", "success", "nll", "iterations", "evaluations", "kkt_residual",
                 "message"}
         for d in ste.diagnostics + qmle.diagnostics:
@@ -587,37 +590,141 @@ def spy_run_starts(monkeypatch):
     return calls
 
 
+def branch_mapped_ste_start(X, diag_a):
+    """The two-step fit and the joint start built from it: the angles of the
+    better-matching column ordering, the rotated diagonal and the coefficients
+    permuted into that ordering; also the ordering and its match residual."""
+    ste = fit_spectral_targeting(X, diag_a=diag_a)
+    p = ste.p
+    lo, hi = 1e-6, np.pi / 2 - 1e-6
+    matches = [(_match_angles(ste.target.V[:, order], lo, hi), order)
+               for order in (np.arange(p), np.arange(p)[::-1])]
+    (phi, resid), order = min(matches, key=lambda match: match[0][1])
+    V = givens_product(phi, p)
+    lam = np.diag(V.T @ sample_covariance(X).values @ V)
+    kappas = np.hstack([ste.kappas[:, :p][np.ix_(order, order)], ste.kappas[order, p:]])
+    theta = np.concatenate([lam, phi, kappas[_free_mask(p, diag_a)]])
+    return ste, theta, order, resid
+
+
+def sorted_branch_panel(T=3000, seed=0):
+    """p=2 panel whose eigenvector of the smaller eigenvalue is the first
+    column of a rotation in the branch, so the sorted ordering matches it."""
+    target = SpectralTarget(lam=np.array([0.1, 0.2]), V=givens_product([0.5], 2))
+    spec = ModelSpec.from_targets(target, DynamicsParams(A=0.05 * np.eye(2),
+                                                         b=np.full(2, 0.85)))
+    return simulate_path(spec, T=T, burn_in=1000, rng_seed=seed)
+
+
+class TestJointQMLEStart:
+    @pytest.mark.parametrize("diag_a", [True, False])
+    @pytest.mark.parametrize("panel, order", [(lambda: case1_panel(T=3000, seed=11), [1, 0]),
+                                              (sorted_branch_panel, [0, 1])],
+                             ids=["reversed", "sorted"])
+    def test_first_start_is_the_branch_mapped_ste_fit(self, diag_a, panel, order):
+        X = panel()
+        ste, theta, branch_order, resid = branch_mapped_ste_start(X, diag_a)
+        assert branch_order.tolist() == order
+        assert resid <= 1e-10  # p=2: the branch holds either ordering exactly
+        fit = fit_joint_qmle(X, diag_a=diag_a)
+        trace = fit.diagnostics[0].start_traces[0]
+        np.testing.assert_allclose(trace["start"], theta, rtol=1e-12, atol=1e-14)
+        value, _, feasible = _joint_nll_grad(trace["start"], X, ste.p, diag_a)
+        assert feasible
+        assert value == pytest.approx(ste.total_nll, abs=1e-9)
+        assert fit.total_nll <= ste.total_nll + 1e-12
+
+    def test_cut_ste_start_falls_back_to_the_schemes(self, monkeypatch):
+        calls = spy_run_starts(monkeypatch)
+        monkeypatch.setattr(estimation, "MAX_ITERATIONS", 3)
+        X = simulate_path(diagonal_benchmark_spec(3), T=1500, burn_in=1000, rng_seed=4)
+        _, theta, _, _ = branch_mapped_ste_start(X, True)
+        fit = fit_joint_qmle(X, diag_a=True)
+        first, schemes = calls
+        np.testing.assert_allclose(first["starts"][0], theta, rtol=1e-12, atol=1e-14)
+        assert len(first["starts"]) == 1
+        assert first["results"][0].kkt_residual > estimation.KKT_TOL
+        mask, p, n_phi = _free_mask(3, True), 3, 3
+        assert [start[p + n_phi:].tolist() for start in schemes["starts"]] == [
+            estimation._start_kappas(p, *scheme)[mask].tolist()
+            for scheme in estimation.START_SCHEMES[:2]]
+        diag = fit.diagnostics[0]
+        assert len(diag.start_traces) == 3
+        np.testing.assert_array_equal(diag.start_traces[0]["start"], first["starts"][0])
+        results = first["results"] + schemes["results"]
+        assert diag.nll == min(res.fun for res in results)
+        assert fit.converged == (diag.kkt_residual <= estimation.KKT_TOL)
+
+    def test_ste_convergence_error_falls_back_to_the_schemes(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise ConvergenceError("two-step fit failed", traces=[])
+
+        calls = spy_run_starts(monkeypatch)
+        monkeypatch.setattr(estimation, "fit_spectral_targeting", refuse)
+        X = simulate_path(diagonal_benchmark_spec(3), T=1500, burn_in=1000, rng_seed=4)
+        fit = fit_joint_qmle(X, diag_a=True)
+        (call,) = calls
+        assert len(call["starts"]) == 2
+        assert len(fit.diagnostics[0].start_traces) == 2
+        assert fit.converged
+
+    @pytest.mark.parametrize("cap, success", [(3, True), (500, False)])
+    def test_converged_reads_the_kkt_residual(self, cap, success, monkeypatch):
+        # L-BFGS-B's own success flag is overridden both ways: a run cut at
+        # 3 iterations that claims success, and full runs that claim failure;
+        # the fit's flag follows the winner's KKT residual alone
+        original = estimation._lbfgsb
+
+        def claim(*args):
+            res = original(*args)
+            res.success = success
+            return res
+
+        monkeypatch.setattr(estimation, "_lbfgsb", claim)
+        monkeypatch.setattr(estimation, "MAX_ITERATIONS", cap)
+        X = simulate_path(diagonal_benchmark_spec(3), T=1500, burn_in=1000, rng_seed=4)
+        fit = fit_joint_qmle(X, diag_a=True)
+        diag = fit.diagnostics[0]
+        assert all(t["success"] == success for t in diag.start_traces)
+        assert (diag.kkt_residual <= estimation.KKT_TOL) == (cap == 500)
+        assert fit.converged == diag.converged == (cap == 500)
+
+
 class TestScaledJointQMLE:
     def test_studies_replications_match_the_unscaled_runs(self, monkeypatch):
-        # the benchmark's replications: same optimum as unscaled L-BFGS-B from
-        # the same starts, in at most 200 evaluations per fit
+        # the benchmark's replications: one run from the two-step start, the
+        # same optimum as unscaled L-BFGS-B from it, in at most 60 evaluations
         calls = spy_run_starts(monkeypatch)
         for rep in (0, 1):
             X = simulate_path(diagonal_benchmark_spec(5), T=2000, burn_in=1000,
                               rng_seed=rep)
-            diag = fit_joint_qmle(X, diag_a=True).diagnostics[0]
+            ste = fit_spectral_targeting(X, diag_a=True)
+            fit = fit_joint_qmle(X, diag_a=True)
+            diag = fit.diagnostics[0]
             call = calls[-1]
             assert call["scale"] is not None
             reference, _ = estimation._run_starts(call["objective"], call["starts"],
                                                   call["lo"], call["hi"])
-            assert diag.converged
+            assert fit.converged and diag.kkt_residual <= estimation.KKT_TOL
             assert abs(diag.nll - min(res.fun for res in reference)) <= 1e-9
-            assert sum(t["evaluations"] for t in diag.start_traces) <= 200
+            assert len(diag.start_traces) == 1
+            assert diag.start_traces[0]["evaluations"] <= 60
+            assert fit.total_nll <= ste.total_nll
 
     def test_traces_are_in_natural_coordinates(self, monkeypatch):
         calls = spy_run_starts(monkeypatch)
         X = simulate_path(diagonal_benchmark_spec(3), T=1500, burn_in=1000, rng_seed=4)
+        _, theta, _, _ = branch_mapped_ste_start(X, True)
         diag = fit_joint_qmle(X, diag_a=True).diagnostics[0]
         (call,) = calls
         p, n_phi, lo, hi = 3, 3, call["lo"], call["hi"]
-        mask = _free_mask(p, True)
-        for trace, res, scheme in zip(diag.start_traces, call["results"],
-                                      estimation.START_SCHEMES):
+        assert len(diag.start_traces) == 1
+        for trace, res in zip(diag.start_traces, call["results"]):
             start = trace["start"]
             # rotated eigenvalues keep the trace of the second-moment matrix
             assert start[:p].sum() == pytest.approx(np.mean(np.sum(X * X, axis=1)))
-            np.testing.assert_array_equal(start[p + n_phi:],
-                                          estimation._start_kappas(p, *scheme)[mask])
+            np.testing.assert_allclose(start, theta, rtol=1e-12, atol=1e-14)
+            assert np.all(start[p + n_phi:] == theta[p + n_phi:])
             assert np.all((res.x >= lo) & (res.x <= hi))
             value, grad, _ = _joint_nll_grad(res.x, X, p, True)
             assert trace["nll"] == pytest.approx(value, abs=1e-12)
@@ -637,7 +744,7 @@ class TestScaledJointQMLE:
         monkeypatch.setattr(estimation, "_joint_scale", spy)
         run_relative_efficiency(ExperimentConfig(dimensions=[2], n_replications=50,
                                                  T=2000, seed=11, estimators=("qmle",)))
-        assert len(scales) >= 100
+        assert len(scales) >= 50  # at least the two-step start of each fit
         assert all(np.all(np.isfinite(s) & (s > 0.0)) for s in scales)
 
     def test_scale_reads_the_information_diagonal(self):
@@ -691,21 +798,53 @@ class TestScaledJointQMLE:
         np.testing.assert_allclose(res.x, [1.0, 1.0], atol=1e-8)
         np.testing.assert_allclose(res.jac, objective(res.x)[1], atol=1e-12)
 
+        # a run cut at the iteration cap has no iterations left to restart with
         runs.clear()
         monkeypatch.setattr(estimation, "MAX_ITERATIONS", 1)
         (res,), (trace,) = estimation._run_starts(objective, [x0], lo, hi, scale=scale)
-        (first, *first_counts), (restart, *restart_counts) = runs
-        assert first.kkt_residual > estimation.KKT_TOL
-        assert res is restart and first_counts[0] == 1
-        assert [trace["iterations"], trace["evaluations"]] == [
-            first_counts[0] + restart_counts[0], first_counts[1] + restart_counts[1]]
+        (first, nit, nfev), = runs
+        assert res is first and nit == 1 and first.kkt_residual > estimation.KKT_TOL
+        assert [trace["iterations"], trace["evaluations"]] == [nit, nfev]
         np.testing.assert_array_equal(trace["start"], x0)
         assert trace["kkt_residual"] == estimation._kkt_residual(
             res.x, objective(res.x)[1], lo, hi)
         # without a scale there is no restart
+        monkeypatch.setattr(estimation, "MAX_ITERATIONS", 500)
         runs.clear()
         estimation._run_starts(objective, [x0], lo, hi)
         assert len(runs) == 1
+
+    def test_restart_gets_the_iterations_the_first_run_left(self, monkeypatch):
+        # scripted runs: the first stops short of the cap above KKT_TOL
+        budgets = []
+
+        def scripted(outcomes):
+            outcomes = iter(outcomes)
+
+            def run(objective, x0, lo, hi, s=None, maxiter=None):
+                budgets.append(maxiter)
+                nit, kkt = next(outcomes)
+                return OptimizeResult(x=x0 + 1.0, fun=-float(nit), nit=nit, nfev=nit + 2,
+                                      kkt_residual=kkt, success=True, message="stub")
+            return run
+
+        x0, lo, hi = np.zeros(2), np.full(2, -5.0), np.full(2, 5.0)
+        cap = estimation.MAX_ITERATIONS
+        monkeypatch.setattr(estimation, "_lbfgsb", scripted([(120, 1.0), (30, 1e-8)]))
+        (res,), (trace,) = estimation._run_starts(None, [x0], lo, hi, scale=np.ones_like)
+        assert budgets == [None, cap - 120]
+        assert [trace["iterations"], trace["evaluations"]] == [150, 154]
+        assert trace["kkt_residual"] == 1e-8
+        # the restart's budget runs out at the cap: it is not restarted again
+        budgets.clear()
+        monkeypatch.setattr(estimation, "_lbfgsb", scripted([(120, 1.0), (cap - 120, 1.0)]))
+        (res,), (trace,) = estimation._run_starts(None, [x0], lo, hi, scale=np.ones_like)
+        assert budgets == [None, cap - 120] and trace["iterations"] == cap
+        # a first run at the cap is not restarted
+        budgets.clear()
+        monkeypatch.setattr(estimation, "_lbfgsb", scripted([(cap, 1.0)]))
+        estimation._run_starts(None, [x0], lo, hi, scale=np.ones_like)
+        assert budgets == [None]
 
 
 class TestConsistencyScaling:

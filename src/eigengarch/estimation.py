@@ -45,16 +45,17 @@ __all__ = [
 
 PENALTY_BASE = 1e10
 PENALTY_SCALE = 1e10
-GRAD_TOL = 1e-9        # L-BFGS-B projected-gradient tolerance
-MAX_ITERATIONS = 500   # iteration cap of every L-BFGS-B run
+GRAD_TOL = 1e-9        # projected-gradient tolerance of L-BFGS-B and of a polish
+MAX_ITERATIONS = 500   # iteration cap of every joint-QMLE L-BFGS-B run
+SCOUT_ITERATIONS = 10  # iteration cap of each L-BFGS-B scout of an equation fit
 A_MAX = 1.0            # upper bound of every ARCH loading
 B_MAX = 1.0 - 1e-6     # upper bound of every persistence coefficient
 W_FLOOR_REL = 1e-10    # smallest feasible intercept, relative to its target
-KKT_TOL = 1e-6         # box KKT residual at which a diagonal-A profile fit has converged,
+KKT_TOL = 1e-6         # KKT residual at which an equation fit has converged,
                        # and above which a scaled joint-QMLE run restarts once
 # start schemes (own ARCH loading, other ARCH loadings, persistence): full-A
-# equation fits run all three, as does a diagonal-A fit whose profile search
-# does not converge; the joint QMLE runs the first two
+# equation fits scout from all three, as does a diagonal-A fit whose profile
+# search does not converge; the joint QMLE runs the first two
 START_SCHEMES = ((0.05, 0.01, 0.85), (0.10, 0.0, 0.80), (0.02, 0.0, 0.90))
 # persistence grid of the diagonal-A profile search: linear up to 0.8, then
 # geometric toward 1, where the profile's minima crowd
@@ -71,7 +72,9 @@ class EquationDiagnostics:
     converged: bool
     n_iterations: int
     nll: float
-    kkt_residual: float  # largest |projected gradient| at the winner's end point
+    # KKT residual at the winner's end point: on the box cut by the intercept
+    # face for an equation fit (``_face_kkt``), on the box for the joint QMLE
+    kkt_residual: float
     active_constraints: list = field(default_factory=list)
     start_traces: list = field(default_factory=list)
 
@@ -208,25 +211,32 @@ def _check_kappa(kappa, p: int, i) -> np.ndarray:
 
 
 def _kernel_hessian(x: np.ndarray, Z: np.ndarray, z_lam: np.ndarray, y2: np.ndarray,
-                    lam_i: float, lam: np.ndarray, r: np.ndarray) -> np.ndarray:
-    """Hessian of ``_equation_kernel``'s criterion in the same free coordinates.
+                    lam_i: float, lam: np.ndarray, r: np.ndarray, free=None) -> np.ndarray:
+    """Hessian of ``_equation_kernel``'s criterion in the same free coordinates,
+    or its block on the coordinates of the boolean mask ``free``.
 
     lam and r are the kernel's path and adjoint at x. The second derivatives
     of the path vanish in the a-a block; in the a-b and b-b blocks they are
     driven by dlam_{t-1} (once for a_j-b, twice for b-b), so they contract
     against the adjoint r, which carries the score weights back in time.
+    Only the block's path derivatives are computed.
     """
     T, k = Z.shape
     n = x.shape[0]
-    dlam = _lam_derivs(Z, z_lam, lam_i, float(x[k]) if n > k else 0.0, lam)[:, :n]
+    cols = np.arange(n) if free is None else np.flatnonzero(free)
+    loads = cols[cols < k]
+    if loads.shape[0] < k:
+        Z, z_lam = Z[:, loads], z_lam[loads]
+    m = loads.shape[0]
+    dlam = _lam_derivs(Z, z_lam, lam_i, float(x[k]) if n > k else 0.0, lam)[:, :cols.shape[0]]
     w2 = (2.0 * y2 / lam - 1.0) / (lam * lam)  # multiplies dlam outer products
     hess = (dlam * w2[:, None]).T @ dlam / T
-    if n > k:
+    if cols.shape[0] > m:  # b is in the block
         cross = r[1:] @ dlam[:-1]
-        cross[k] *= 2.0
-        hess[:k, k] += cross[:k]
-        hess[k, :k] += cross[:k]
-        hess[k, k] += cross[k]
+        cross[m] *= 2.0
+        hess[:m, m] += cross[:m]
+        hess[m, :m] += cross[:m]
+        hess[m, m] += cross[m]
     return hess
 
 
@@ -371,6 +381,58 @@ def _kkt_residual(x: np.ndarray, grad: np.ndarray, lo: np.ndarray, hi: np.ndarra
     return float(np.max(np.abs(np.where(_held(x, grad, lo, hi), 0.0, grad)), initial=0.0))
 
 
+def _on_face(x: np.ndarray, face) -> bool:
+    """Whether x is within 1e-8 (relative) of the face c.x = d, or beyond it."""
+    c, d = face
+    return float(c @ x) >= d * (1.0 - 1e-8)
+
+
+def _project(z: np.ndarray, lo: np.ndarray, hi: np.ndarray, face) -> np.ndarray:
+    """Euclidean projection of z onto the box [lo, hi] cut by the half-space
+    c.y <= d of ``face`` = (c, d).
+
+    It is y = clip(z - tau c) with tau >= 0: ``np.clip`` (tau = 0) when the
+    clipped point is in the half-space. Otherwise c.clip(z - tau c) falls
+    piecewise linearly in tau, with a knot wherever a coordinate meets a
+    bound, and tau solves c.y = d on the piece that crosses d. The half-space
+    must meet the box.
+    """
+    c, d = face
+    y = np.clip(z, lo, hi)
+    level = float(c @ y)
+    if level <= d:
+        return y
+    with np.errstate(divide="ignore", invalid="ignore"):
+        knots = np.concatenate([(z - hi) / c, (z - lo) / c])
+    knots = np.unique(knots[np.isfinite(knots) & (knots > 0.0)])
+    levels = np.clip(z - knots[:, None] * c, lo, hi) @ c  # non-increasing
+    j = int(np.searchsorted(-levels, -d))  # first knot at or below d
+    t0, f0 = (0.0, level) if j == 0 else (knots[j - 1], levels[j - 1])
+    tau = t0 + (f0 - d) * (knots[j] - t0) / (f0 - levels[j])
+    return np.clip(z - tau * c, lo, hi)
+
+
+def _face_kkt(x: np.ndarray, grad: np.ndarray, lo: np.ndarray, hi: np.ndarray, face):
+    """Held coordinates, face multiplier nu and KKT residual on the box cut by the face.
+
+    Off the face nu = 0 and the residual is ``_kkt_residual``'s. On it,
+    nu >= 0 is the least-squares multiplier of the normal c on the
+    coordinates off their bounds (0 when there are none), the coordinates
+    held are those that g + nu c presses against a bound, and the residual
+    is the largest |g + nu c| over the others.
+    """
+    nu = 0.0
+    if _on_face(x, face):
+        c = face[0]
+        off = (x > lo + 1e-10) & (x < hi - 1e-10)
+        cc = float(c[off] @ c[off])
+        if cc > 0.0:
+            nu = max(0.0, -float(c[off] @ grad[off]) / cc)
+        grad = grad + nu * c
+    held = _held(x, grad, lo, hi)
+    return held, nu, float(np.max(np.abs(np.where(held, 0.0, grad)), initial=0.0))
+
+
 def _on_bounds(names, x: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> list:
     """"name=lower" or "name=upper" for each coordinate within 1e-10 of a bound."""
     at_lo, at_hi = x <= lo + 1e-10, x >= hi - 1e-10
@@ -429,7 +491,8 @@ def _lbfgsb(objective, x0: np.ndarray, lo: np.ndarray, hi: np.ndarray, s=None,
 
 
 def _run_starts(objective, starts, lo: np.ndarray, hi: np.ndarray, scale=None):
-    """One L-BFGS-B run from every start on [lo, hi]; see ``_lbfgsb``.
+    """One L-BFGS-B run from every start on [lo, hi], as the joint QMLE makes
+    them; see ``_lbfgsb``.
 
     With ``scale``, each run is made in the coordinates x / scale(x0), and a
     run that ends with its box KKT residual above ``KKT_TOL`` before
@@ -498,47 +561,58 @@ def _profile_on_grid(y2: np.ndarray, lam_i: float, grid: np.ndarray):
     return a, (np.log(lam).sum(axis=1) + q.sum(axis=1)) / T
 
 
-def _projected_newton(fun, x: np.ndarray, args=(), hess=None, bounds=None, **_):
-    """Projected Newton (Bertsekas, 1982) on the box ``bounds`` = (lo, hi) from
-    x, as a ``scipy.optimize.minimize`` method.
+def _projected_newton(fun, x: np.ndarray, args=(), hess=None, bounds=None, constraints=None,
+                      **_):
+    """Projected Newton (Bertsekas, 1982) from x on the box ``bounds`` = (lo, hi)
+    cut by the half-space ``constraints`` = (c, d) of c.x <= d, as a
+    ``scipy.optimize.minimize`` method.
 
     ``fun(x, *args)`` returns the criterion, its gradient, then the path and
-    adjoint that ``hess(x, path, adjoint)`` takes for the exact Hessian.
-    Coordinates held at a bound stay there; the others take the Newton step
-    of their block of the Hessian, its eigenvalues taken in absolute value
-    so that the step descends, and a projected Armijo search along it. Once
+    adjoint that ``hess(x, path, adjoint, free)`` takes for the exact Hessian
+    block of the coordinates in the mask ``free``. Coordinates held at a
+    bound stay there (see ``_face_kkt``); the others take the Newton step of
+    their block of the Hessian, its eigenvalues taken in absolute value so
+    that the step descends. On the face with a positive multiplier the step
+    is made in the null space of the face normal c within that block. A
+    projected Armijo search follows along the step, each trial point the
+    exact projection ``_project`` onto the box cut by the half-space. Once
     the step's predicted decrease is at the criterion's rounding level, the
-    full step is kept only while it halves the box KKT residual. Stops when
-    that residual is at most ``GRAD_TOL``, when no step makes progress or
-    after ``POLISH_STEPS`` steps; the result has converged when its residual
-    is at most ``KKT_TOL``.
+    full step is kept only while it halves the KKT residual of
+    ``_face_kkt``. Stops when that residual is at most ``GRAD_TOL``, when no
+    step makes progress or after ``POLISH_STEPS`` steps; the result has
+    converged when its residual is at most ``KKT_TOL``.
     """
     lo, hi = bounds
     value, grad, lam, r = fun(x, *args)
     nit, nfev = 0, 1
     message = "no step made progress"
     while True:
-        kkt = _kkt_residual(x, grad, lo, hi)
+        held, nu, kkt = _face_kkt(x, grad, lo, hi, constraints)
         if kkt <= GRAD_TOL:
-            message = "box KKT residual at most GRAD_TOL"
+            message = "KKT residual at most GRAD_TOL"
             break
         if nit == POLISH_STEPS:
             message = f"POLISH_STEPS ({POLISH_STEPS}) reached"
             break
-        free = ~_held(x, grad, lo, hi)
-        w, Q = np.linalg.eigh(hess(x, lam, r)[np.ix_(free, free)])
+        free = ~held
+        H, g = hess(x, lam, r, free), grad[free]
+        if nu > 0.0:  # a basis N of the face's directions within the block
+            N = np.linalg.qr(constraints[0][free][:, None], mode="complete")[0][:, 1:]
+            H, g = N.T @ H @ N, N.T @ g
+        w, Q = np.linalg.eigh(H)
         w = np.maximum(np.abs(w), 1e-12 * np.abs(w).max(initial=1.0))
+        step = -Q @ ((Q.T @ g) / w)
         d = np.zeros_like(x)
-        d[free] = -Q @ ((Q.T @ grad[free]) / w)
+        d[free] = N @ step if nu > 0.0 else step
         if -float(grad @ d) <= 10.0 * np.finfo(float).eps * max(abs(value), 1.0):
-            trial = np.clip(x + d, lo, hi)
+            trial = _project(x + d, lo, hi, constraints)
             out = fun(trial, *args)
             nfev += 1
-            if out[2] is None or _kkt_residual(trial, out[1], lo, hi) > 0.5 * kkt:
+            if out[2] is None or _face_kkt(trial, out[1], lo, hi, constraints)[2] > 0.5 * kkt:
                 break
         else:
             for _ in range(40):
-                trial = np.clip(x + d, lo, hi)
+                trial = _project(x + d, lo, hi, constraints)
                 out = fun(trial, *args)
                 nfev += 1
                 if out[2] is not None and out[0] < value + 1e-4 * float(grad @ (trial - x)):
@@ -553,15 +627,14 @@ def _projected_newton(fun, x: np.ndarray, args=(), hess=None, bounds=None, **_):
                           success=kkt <= KKT_TOL, message=message)
 
 
-def _profile_fit(kernel, hessian, y2: np.ndarray, lam_i: float, lo: np.ndarray,
-                 hi: np.ndarray, fit_b: bool):
+def _profile_fit(polish, y2: np.ndarray, lam_i: float, fit_b: bool):
     """Diagonal-A equation fit on the profile over b.
 
     The profile is evaluated on ``PROFILE_B_GRID`` (the single point b = 0
     without ``fit_b``), and every grid minimum of it is polished by
-    ``_projected_newton`` in the free coordinates. Returns the lowest
-    polished result, or None when it has not converged, and one trace per
-    polished minimum whose start is its grid point.
+    ``polish`` in the free coordinates. Returns the lowest polished result,
+    or None when it has not converged, and one trace per polished minimum
+    whose start is its grid point.
     """
     grid = PROFILE_B_GRID if fit_b else np.zeros(1)
     a, prof = _profile_on_grid(y2, lam_i, grid)
@@ -569,12 +642,30 @@ def _profile_fit(kernel, hessian, y2: np.ndarray, lam_i: float, lo: np.ndarray,
     right = np.append(prof[:-1] <= prof[1:], True)
     results, traces = [], []
     for g in np.flatnonzero(left & right):
-        start = np.array([a[g], grid[g]])[:hi.shape[0]]
-        res = minimize(kernel, start, method=_projected_newton, hess=hessian, bounds=(lo, hi))
+        start = np.array([a[g], grid[g]])[:1 + fit_b]
+        res = polish(start)
         results.append(res)
         traces.append(_trace(start, res))
     best = min(results, key=lambda res: res.fun)
     return (best if best.success else None), traces
+
+
+def _scout_and_polish(objective, polish, starts, lo: np.ndarray, hi: np.ndarray):
+    """From every start, an L-BFGS-B scout of at most ``SCOUT_ITERATIONS`` on
+    [lo, hi], then ``polish`` from its end point.
+
+    Returns the polished results, each with its scout's iterations and
+    evaluations added, and one trace per start.
+    """
+    results, traces = [], []
+    for x0 in starts:
+        scout = _lbfgsb(objective, x0, lo, hi, maxiter=SCOUT_ITERATIONS)
+        res = polish(scout.x)
+        res.nit += scout.nit
+        res.nfev += scout.nfev
+        results.append(res)
+        traces.append(_trace(x0, res))
+    return results, traces
 
 
 def _repair_start(kappa: np.ndarray, lam_vec: np.ndarray, i: int,
@@ -595,23 +686,30 @@ def fit_equation(Y: np.ndarray, gamma_hat, i: int,
                  diag_a: bool = False, fit_b: bool = True):
     """Fit the dynamic coefficients of rotated return i given the targets.
 
-    Box-constrained L-BFGS-B with the analytic score, each run capped at
-    ``MAX_ITERATIONS``; the implied-intercept constraint is enforced through
-    a smooth pull-back that leaves the criterion untouched at feasible
-    points. A full A runs the three ``START_SCHEMES``, each shrunk toward
-    zero dynamics until its intercept is feasible, and the best converged
-    run wins.
+    Every fit ends in ``_projected_newton`` polishes on the box cut by the
+    intercept face a.lam + lam_i b <= lam_i (1 - 2 W_FLOOR_REL), which keeps
+    the implied intercept w at least twice its floor; a polish has converged
+    when its KKT residual on the box and the face is at most ``KKT_TOL``,
+    and the lowest converged polish wins.
+
+    A full A is scouted from the three ``START_SCHEMES``, each shrunk
+    toward zero dynamics until its intercept is feasible: a box-constrained
+    L-BFGS-B run of at most ``SCOUT_ITERATIONS`` with the analytic score,
+    the intercept enforced through a smooth pull-back that leaves the
+    criterion untouched at feasible points, then a polish from its end.
 
     A diagonal A is fitted on the profile over b (``_profile_fit``): a
     Newton search in a at every point of ``PROFILE_B_GRID`` (b = 0 alone
-    without ``fit_b``), then a projected-Newton polish of every grid minimum
-    of the profile, each its own ``minimize`` run. The lowest polished point
-    wins when its box KKT residual is at most ``KKT_TOL``; otherwise the
-    three ``START_SCHEMES`` are run after the polish as above, and their
-    traces follow the polish traces.
+    without ``fit_b``), then a polish of every grid minimum of the profile.
+    The lowest polished point wins when it has converged; otherwise the
+    three scouts and their polishes run as for a full A, and their traces
+    follow the profile's.
 
-    Each start trace records the start in the free coordinates: for a
-    polished profile minimum, its grid point.
+    Every scout and polish is its own ``minimize`` run. Each start trace
+    records the start in the free coordinates (for a polished profile
+    minimum, its grid point) and the polish's outcome; a scouted trace adds
+    the scout's iterations and evaluations to the polish's. "w=floor" is
+    listed among the active constraints when the winner is on the face.
 
     Returns (kappa, EquationDiagnostics), kappa = [a_i1, ..., a_ip, b_i].
     """
@@ -619,12 +717,13 @@ def fit_equation(Y: np.ndarray, gamma_hat, i: int,
     Y = np.atleast_2d(np.asarray(Y, dtype=float))
     p = lam_vec.shape[0]
     _check_equation_index(i, p)
-    floor = W_FLOOR_REL * lam_vec[i]
     keep = _free_mask(p, diag_a, fit_b)[i]
     free = np.flatnonzero(keep)
     lo, hi = _bounds(free, p)
     y2 = Y[:, i] ** 2
     Z, z_lam = (y2[:, None], lam_vec[[i]]) if diag_a else (Y**2, lam_vec)
+    # the intercept face c.x <= d: w = lam_i - c.x stays at twice its floor
+    face = (np.append(z_lam, lam_vec[i])[:free.shape[0]], lam_vec[i] * (1.0 - 2.0 * W_FLOOR_REL))
 
     def kernel(free_vals):
         return _equation_kernel(free_vals, Z, z_lam, y2, lam_vec[i])
@@ -632,16 +731,22 @@ def fit_equation(Y: np.ndarray, gamma_hat, i: int,
     def objective(free_vals):
         return kernel(free_vals)[:2]
 
+    def hessian(free_vals, lam, r, block):
+        return _kernel_hessian(free_vals, Z, z_lam, y2, lam_vec[i], lam, r, block)
+
+    def polish(x0):
+        return minimize(kernel, x0, method=_projected_newton, hess=hessian, bounds=(lo, hi),
+                        constraints=face)
+
     results, traces = [], []
     if diag_a:
-        best, traces = _profile_fit(
-            kernel, lambda x, lam, r: _kernel_hessian(x, Z, z_lam, y2, lam_vec[i], lam, r),
-            y2, lam_vec[i], lo, hi, fit_b)
+        best, traces = _profile_fit(polish, y2, lam_vec[i], fit_b)
         results = [best] if best is not None else []
     if not results:
         starts = [_repair_start(np.where(keep, _start_kappas(p, *scheme)[i], 0.0),
-                                lam_vec, i, floor)[free] for scheme in START_SCHEMES]
-        results, more = _run_starts(objective, starts, lo, hi)
+                                lam_vec, i, W_FLOOR_REL * lam_vec[i])[free]
+                  for scheme in START_SCHEMES]
+        results, more = _scout_and_polish(objective, polish, starts, lo, hi)
         traces += more
     converged = [res for res in results if res.success]
     if not converged:
@@ -653,8 +758,7 @@ def fit_equation(Y: np.ndarray, gamma_hat, i: int,
     kappa = np.zeros(p + 1)
     kappa[free] = best.x
     active = _on_bounds(["b" if idx == p else f"a[{idx}]" for idx in free], best.x, lo, hi)
-    w = (1.0 - kappa[p]) * lam_vec[i] - float(kappa[:p] @ lam_vec)
-    if w < 1e-8 * lam_vec[i]:
+    if _on_face(best.x, face):
         active.append("w=floor")
     return kappa, _diagnostics(best, active, traces)
 
@@ -860,9 +964,11 @@ def fit_joint_qmle(X, diag_a: bool = False) -> ModelFit:
     criterion is the two-step total, so the fit cannot end above it. The
     first two ``START_SCHEMES`` run only when that run ends above
     ``KKT_TOL`` or the two-step fit raises ``ConvergenceError``; their
-    traces follow its trace and the lowest run wins. Each run is made in the
-    coordinates of ``_joint_scale`` at its start (see ``_run_starts``);
-    bounds, traces and diagnostics are in the natural coordinates.
+    traces follow its trace. The lowest run wins, unless a run whose box KKT
+    residual is at most ``KKT_TOL`` ends within 1e-9 of it: then the lowest
+    such run wins. Each run is made in the coordinates of ``_joint_scale``
+    at its start (see ``_run_starts``); bounds, traces and diagnostics are
+    in the natural coordinates.
 
     The fit has converged when the winner's box KKT residual is at most
     ``KKT_TOL``; non-convergence is reported through the ``converged`` flag
@@ -914,6 +1020,9 @@ def fit_joint_qmle(X, diag_a: bool = False) -> ModelFit:
         results += more
         traces += more_traces
     best = min(results, key=lambda res: res.fun)
+    tied = [res for res in results if res.kkt_residual <= KKT_TOL and res.fun <= best.fun + 1e-9]
+    if tied:  # a converged run within rounding of the lowest wins
+        best = min(tied, key=lambda res: res.fun)
     lam_vec, phi, kappas, _ = _unpack(best.x, p, diag_a)
     V = givens_product(phi, p)
 
